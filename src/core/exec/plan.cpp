@@ -111,7 +111,7 @@ void Planner::append_resolve_stages(OperationPlan& p, const CollectionRuntime& r
                                     std::function<std::vector<DocId>()> candidates,
                                     const char* label) const {
   const CollectionRuntime* rtp = &rt;
-  net::ShardRouter* router = cloud_.shard_router();
+  auto* router = dynamic_cast<net::ShardRouter*>(&cloud_.transport());
   if (router == nullptr || router->shards() <= 1) {
     // Pre-sharding shape, byte-identical: one batched doc.mget.
     p.stages.push_back(

@@ -45,8 +45,18 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
                       : nullptr),
       planner_(cloud_, perf_, cache_.get(), cost_model_.get()),
       executor_(perf_, config_.index_workers) {
+  if (config_.breaker.enabled) {
+    // Replica groups and shard routers track health by failure accrual and
+    // have no breaker: refuse a setting that would silently do nothing.
+    net::CircuitBreaker* breaker = cloud_.transport().breaker();
+    if (breaker == nullptr) {
+      throw_error(ErrorCode::kInvalidArgument,
+                  "gateway: circuit breaker needs a single-endpoint cloud; replicated "
+                  "and sharded clouds use failure accrual");
+    }
+    breaker->configure(config_.breaker);
+  }
   if (config_.retry.enabled) cloud_.set_retry_policy(config_.retry);
-  if (config_.breaker.enabled) cloud_.channel().breaker().configure(config_.breaker);
   cloud_.set_metrics_hook(
       [this](const char* series, std::uint64_t value) { perf_.incr(series, value); });
   if (config_.journal_inserts) {

@@ -52,8 +52,10 @@ struct GatewayConfig {
   /// off: the seed fails fast). See net::RetryPolicy::standard().
   net::RetryPolicy retry;
 
-  /// Circuit-breaker configuration applied to the cloud channel when
-  /// .enabled (default off).
+  /// Circuit-breaker configuration applied to the cloud endpoint's channel
+  /// when .enabled (default off). Only a single-endpoint cloud has a
+  /// breaker; with replicas or shards the gateway rejects it
+  /// (kInvalidArgument), since failure accrual tracks health there.
   net::BreakerConfig breaker;
 
   /// Crash-consistent inserts: when true, every insert/insert_many runs in
@@ -78,9 +80,9 @@ struct GatewayConfig {
   /// disables the cache entirely.
   std::size_t hot_cache_capacity = 0;
 
-  /// Cloud replica count for ReplicatedCloud (core/replication.hpp).
-  /// With replicas = 1 and hedged_reads off, no replication layer is built
-  /// at all and the wire behaviour is byte-identical to a single-node
+  /// Cloud replicas per shard for ShardedCloud (core/sharding.hpp). With
+  /// replicas = 1, shards = 1 and hedged_reads off, no replication layer is
+  /// built at all and the wire behaviour is byte-identical to a single-node
   /// stack. With > 1, writes are applied on the primary and replayed
   /// byte-identically to every backup before acknowledgement; reads route
   /// to the healthiest in-sync replica.
@@ -99,8 +101,8 @@ struct GatewayConfig {
   net::AccrualConfig accrual;
 
   /// Shard count for ShardedCloud (core/sharding.hpp). With shards = 1
-  /// (default) no router is built and the stack degrades to the
-  /// ReplicatedCloud shapes (byte-identical wire behaviour). With > 1,
+  /// (default) no router is built: the client sits on the single shard's
+  /// replica group, or on its bare endpoint. With > 1,
   /// each shard is its own replica set (`replicas` nodes) and a
   /// consistent-hash router scatters keys across them: documents by id,
   /// SSE postings by keyword token, scope-coupled structures whole.

@@ -5,7 +5,8 @@
 namespace datablinder::core {
 
 ShardedCloud::ShardedCloud(const GatewayConfig& config,
-                           net::ChannelConfig channel_config) {
+                           net::ChannelConfig channel_config)
+    : call_pool_(std::max<std::size_t>(32, 16 * config.shards)) {
   const std::size_t s = std::max<std::size_t>(1, config.shards);
   const std::size_t r = std::max<std::size_t>(1, config.replicas);
 
@@ -14,41 +15,33 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
 
   shards_.resize(s);
   for (auto& shard : shards_) {
-    shard.nodes.reserve(r);
-    shard.channels.reserve(r);
+    shard.replicas.reserve(r);
     for (std::size_t i = 0; i < r; ++i) {
-      shard.nodes.push_back(std::make_unique<CloudNode>());
-      shard.channels.push_back(std::make_unique<net::Channel>(channel_config));
+      shard.replicas.push_back(std::make_unique<Replica>(channel_config));
     }
   }
 
   if (s == 1 && r == 1 && !config.hedged_reads) {
-    // Legacy plain shape: byte-identical to the pre-replication build.
-    client_ = std::make_unique<net::RpcClient>(shards_[0].nodes[0]->rpc(),
-                                               *shards_[0].channels[0]);
+    client_ = std::make_unique<net::RpcClient>(shards_[0].replicas[0]->endpoint);
     return;
   }
 
+  std::vector<net::Transport*> groups;
+  groups.reserve(s);
   for (auto& shard : shards_) {
-    std::vector<net::ReplicaEndpoint> endpoints;
+    std::vector<net::Endpoint*> endpoints;
     endpoints.reserve(r);
-    for (std::size_t i = 0; i < r; ++i) {
-      endpoints.push_back({&shard.nodes[i]->rpc(), shard.channels[i].get()});
-    }
-    shard.group = std::make_unique<net::ReplicaGroup>(std::move(endpoints),
+    for (auto& replica : shard.replicas) endpoints.push_back(&replica->endpoint);
+    shard.group = std::make_unique<net::ReplicaGroup>(std::move(endpoints), call_pool_,
                                                       hedge, config.accrual);
+    groups.push_back(shard.group.get());
   }
 
   if (s == 1) {
-    // ReplicatedCloud shape: one group-mode client, byte-identical to PR-7.
     client_ = std::make_unique<net::RpcClient>(*shards_[0].group);
     return;
   }
-
-  std::vector<net::ReplicaGroup*> groups;
-  groups.reserve(s);
-  for (auto& shard : shards_) groups.push_back(shard.group.get());
-  router_ = std::make_unique<net::ShardRouter>(std::move(groups),
+  router_ = std::make_unique<net::ShardRouter>(std::move(groups), call_pool_,
                                                config.shard_ring);
   client_ = std::make_unique<net::RpcClient>(*router_);
 }
@@ -56,7 +49,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
 std::size_t ShardedCloud::catch_up() {
   std::size_t in_sync = 0;
   for (auto& shard : shards_) {
-    in_sync += shard.group ? shard.group->catch_up_all() : shard.nodes.size();
+    in_sync += shard.group ? shard.group->catch_up_all() : shard.replicas.size();
   }
   return in_sync;
 }
@@ -64,7 +57,7 @@ std::size_t ShardedCloud::catch_up() {
 std::uint64_t ShardedCloud::index_ops() const {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
-    for (const auto& node : shard.nodes) total += node->index_ops();
+    for (const auto& replica : shard.replicas) total += replica->node.index_ops();
   }
   return total;
 }
@@ -72,7 +65,7 @@ std::uint64_t ShardedCloud::index_ops() const {
 std::size_t ShardedCloud::storage_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    for (const auto& node : shard.nodes) total += node->storage_bytes();
+    for (const auto& replica : shard.replicas) total += replica->node.storage_bytes();
   }
   return total;
 }

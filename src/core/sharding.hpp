@@ -1,24 +1,23 @@
-// ShardedCloud — the untrusted zone as N shards × R replicas.
+// ShardedCloud — the untrusted zone as N shards × R replicas, and the one
+// place the gateway<->cloud transport stack is composed:
 //
-// Composes the scale-out stack: each shard is a full ReplicatedCloud-style
-// replica set (its own CloudNodes behind independently faultable
-// Channels, assembled into a net::ReplicaGroup), and the shards sit
-// behind one net::ShardRouter fronted by a router-mode RpcClient the
-// Gateway binds to exactly like a single-node client. PR-7 resilience
-// (hedged reads, failure accrual, byte-exact replication, catch-up)
-// applies PER SHARD unchanged — one shard's primary failover never stalls
-// its siblings.
+//   RpcClient ─> ShardRouter ─> ReplicaGroup ─> Endpoint ─> Channel ─> CloudNode
+//                (shards > 1)   (per shard)     (per replica)
 //
-// Fidelity contract, layered on ReplicatedCloud's:
-//   * shards = 1, replicas = 1, hedged_reads off — no group, no router:
-//     the plain single-node RpcClient, byte-identical on the wire to the
-//     pre-replication build.
-//   * shards = 1 otherwise — exactly the ReplicatedCloud shape (one
-//     group-mode client), byte-identical to PR-7.
+// Each layer is a net::Transport, so the client binds to whichever is on
+// top. Every CloudNode sits behind its own independently faultable
+// Channel; hedged reads, failure accrual, byte-exact replication and
+// catch-up apply per shard — one shard's primary failover never stalls its
+// siblings. Hedges and scatter sub-calls share one CallPool.
+//
+// Shapes:
+//   * shards = 1, replicas = 1, hedged_reads off — the client sits on the
+//     bare Endpoint, so the wire traffic is byte-identical to a
+//     hand-assembled RpcClient(node.rpc(), channel);
+//   * shards = 1 otherwise — the client sits on the shard's ReplicaGroup;
 //   * shards > 1 — every shard gets a ReplicaGroup (even at replicas = 1:
 //     the router's contract is "each backend dedups byte-identical
-//     replays", which the group's log provides) and the client routes
-//     through the ShardRouter.
+//     replays", which the group's log provides) behind the ShardRouter.
 #pragma once
 
 #include <memory>
@@ -26,10 +25,12 @@
 
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
+#include "net/call_pool.hpp"
 #include "net/channel.hpp"
 #include "net/replica_group.hpp"
 #include "net/rpc.hpp"
 #include "net/shard_router.hpp"
+#include "net/transport.hpp"
 
 namespace datablinder::core {
 
@@ -46,21 +47,21 @@ class ShardedCloud {
   /// The shard router, or nullptr when shards = 1 (no routing layer).
   net::ShardRouter* router() noexcept { return router_.get(); }
 
-  /// Replica group of shard s, or nullptr in the legacy plain shape.
+  /// Replica group of shard s, or nullptr in the plain single-node shape.
   net::ReplicaGroup* group(std::size_t s) noexcept {
     return shards_[s].group.get();
   }
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   std::size_t replicas_per_shard() const noexcept {
-    return shards_[0].nodes.size();
+    return shards_[0].replicas.size();
   }
 
   CloudNode& node(std::size_t shard, std::size_t replica = 0) {
-    return *shards_[shard].nodes[replica];
+    return shards_[shard].replicas[replica]->node;
   }
   net::Channel& channel(std::size_t shard, std::size_t replica = 0) {
-    return *shards_[shard].channels[replica];
+    return shards_[shard].replicas[replica]->channel;
   }
 
   /// Replays missing log suffixes on every shard's reachable replicas;
@@ -73,14 +74,23 @@ class ShardedCloud {
   std::size_t storage_bytes() const;
 
  private:
+  struct Replica {
+    explicit Replica(const net::ChannelConfig& config) : channel(config) {}
+    CloudNode node;
+    net::Channel channel;
+    net::Endpoint endpoint{node.rpc(), channel};
+  };
   struct Shard {
-    std::vector<std::unique_ptr<CloudNode>> nodes;
-    std::vector<std::unique_ptr<net::Channel>> channels;
+    // unique_ptr: the endpoint refers to its node and channel.
+    std::vector<std::unique_ptr<Replica>> replicas;
     std::unique_ptr<net::ReplicaGroup> group;
   };
 
   std::vector<Shard> shards_;
-  std::unique_ptr<net::ShardRouter> router_;  // before client_: client holds it
+  std::unique_ptr<net::ShardRouter> router_;
+  // Declared after every transport its jobs touch: destroying the pool
+  // first lets an in-flight hedge loser finish before its channel goes.
+  net::CallPool call_pool_;
   std::unique_ptr<net::RpcClient> client_;
 };
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <set>
-#include <thread>
 #include <tuple>
 
 #include "common/status.hpp"
-#include "net/rpc.hpp"
 
 namespace datablinder::net {
 
@@ -36,26 +35,18 @@ bool is_read_method(const std::string& method) {
   return kReads.count(method) > 0;
 }
 
-ReplicaGroup::ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig hedge,
-                           AccrualConfig accrual)
-    : hedge_(hedge), accrual_(accrual) {
+ReplicaGroup::ReplicaGroup(std::vector<Endpoint*> endpoints, CallPool& pool,
+                           HedgeConfig hedge, AccrualConfig accrual)
+    : call_pool_(pool), hedge_(hedge), accrual_(accrual) {
   if (endpoints.empty()) {
     throw_error(ErrorCode::kInvalidArgument, "replica group needs >= 1 endpoint");
   }
   replicas_.reserve(endpoints.size());
-  for (const ReplicaEndpoint& e : endpoints) {
-    if (e.server == nullptr || e.channel == nullptr) {
-      throw_error(ErrorCode::kInvalidArgument, "replica endpoint needs server+channel");
-    }
+  for (Endpoint* e : endpoints) {
     auto r = std::make_unique<Replica>();
     r->endpoint = e;
     replicas_.push_back(std::move(r));
   }
-}
-
-ReplicaGroup::~ReplicaGroup() {
-  std::unique_lock lock(drain_mutex_);
-  drain_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 void ReplicaGroup::set_metrics_hook(MetricsHook hook) {
@@ -63,7 +54,7 @@ void ReplicaGroup::set_metrics_hook(MetricsHook hook) {
   hook_ = std::move(hook);
 }
 
-void ReplicaGroup::set_hedgeable(std::function<bool(const std::string&)> pred) {
+void ReplicaGroup::set_hedgeable(Hedgeable pred) {
   std::lock_guard lock(hook_mutex_);
   hedgeable_ = std::move(pred);
 }
@@ -146,16 +137,12 @@ Bytes ReplicaGroup::attempt(std::size_t i, const std::string& method, const Byte
   Replica& r = *replicas_[i];
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    r.endpoint.channel->transfer_request(wire.size(), method);
+    const Response response = r.endpoint->send(method, wire);
     *sent = true;
-    const Response response = r.endpoint.server->dispatch(Request::deserialize(wire));
-    const Bytes wire_response = response.serialize();
-    r.endpoint.channel->transfer_response(wire_response.size(), method);
-    Response decoded = Response::deserialize(wire_response);
+    Response decoded = r.endpoint->reply(method, response);
     // A typed error is still a delivered response: the endpoint is alive.
     note_success(i, elapsed_ns(t0));
-    if (!decoded.ok) throw Error(decoded.error, decoded.error_message);
-    return std::move(decoded.payload);
+    return Endpoint::payload_or_throw(std::move(decoded));
   } catch (const Error& e) {
     if (e.code() == ErrorCode::kUnavailable) accrue_failure(i);
     throw;
@@ -192,7 +179,7 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
   if (order.empty()) {
     throw_error(ErrorCode::kUnavailable, "replica group: no in-sync replica for " + method);
   }
-  std::function<bool(const std::string&)> hedgeable;
+  Hedgeable hedgeable;
   {
     std::lock_guard lock(hook_mutex_);
     hedgeable = hedgeable_;
@@ -220,10 +207,12 @@ Bytes ReplicaGroup::call_read(const std::string& method, const Bytes& wire) {
   std::rethrow_exception(last);
 }
 
-// dblint:thread-root — each hedged attempt below runs on a detached thread.
 Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
                                 const std::string& method, const Bytes& wire) {
   struct Shared {
+    Shared(std::string m, Bytes w) : method(std::move(m)), wire(std::move(w)) {}
+    const std::string method;  // copies: a losing attempt outlives the caller
+    const Bytes wire;
     std::mutex m;
     std::condition_variable cv;
     bool done = false;  // first success recorded
@@ -232,22 +221,17 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
     std::exception_ptr first_error;
     std::size_t finished = 0;
   };
-  auto st = std::make_shared<Shared>();
+  auto st = std::make_shared<Shared>(method, wire);
 
-  // Attempts run detached so the caller can return the moment the first
-  // one succeeds; the group's drain counter keeps the endpoints alive
-  // until every loser has finished touching them.
-  auto spawn = [this, st](std::size_t idx, std::string m, Bytes w) {
-    {
-      std::lock_guard lock(drain_mutex_);
-      ++inflight_;
-    }
-    std::thread([this, st, idx, m = std::move(m), w = std::move(w)] {
+  // Attempts run on the pool so the caller can return the moment the first
+  // one succeeds; the pool's owner drains it before the endpoints go away.
+  auto spawn = [this, st](std::size_t idx) {
+    call_pool_.submit([this, st, idx] {
       Bytes out;
       std::exception_ptr err;
       bool sent = false;
       try {
-        out = attempt(idx, m, w, &sent);
+        out = attempt(idx, st->method, st->wire, &sent);
       } catch (...) {
         err = std::current_exception();
       }
@@ -263,16 +247,7 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
         ++st->finished;
       }
       st->cv.notify_all();
-      {
-        std::lock_guard lock(drain_mutex_);
-        --inflight_;
-        // Notify while holding the mutex: the destructor's predicate
-        // cannot observe inflight_ == 0 until this thread releases
-        // drain_mutex_, so the group (and this condition variable)
-        // cannot be destroyed while the notify is still in flight.
-        drain_cv_.notify_all();
-      }
-    }).detach();
+    });
   };
 
   // Hedge delay: this call is "slow" once it exceeds the chosen replica's
@@ -282,7 +257,7 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
       static_cast<std::uint64_t>(hedge_.p95_multiplier * s.p95_us);
   delay_us = std::clamp(delay_us, hedge_.min_delay_us, hedge_.max_delay_us);
 
-  spawn(order[0], method, wire);
+  spawn(order[0]);
   bool primary_failed_fast = false;
   {
     std::unique_lock lock(st->m);
@@ -297,7 +272,7 @@ Bytes ReplicaGroup::hedged_read(const std::vector<std::size_t>& order,
     emit("net.hedge.fired");
     emit("net.hedge.delay_us", delay_us);
   }
-  spawn(order[1], method, wire);
+  spawn(order[1]);
   std::unique_lock lock(st->m);
   st->cv.wait(lock, [&] { return st->done || st->finished >= 2; });
   if (st->done) {
@@ -316,15 +291,14 @@ bool ReplicaGroup::catch_up_locked(std::size_t i) {
   bool shipped = false;
   while (r.applied_seq.load(std::memory_order_relaxed) < head) {
     const LogEntry& e = log_[r.applied_seq.load(std::memory_order_relaxed)];
+    Response response;
     try {
-      r.endpoint.channel->transfer_request(e.wire.size(), e.method);
+      response = r.endpoint->send(e.method, e.wire);
     } catch (const Error&) {
       accrue_failure(i);
       return false;
     }
-    const Response response = r.endpoint.server->dispatch(Request::deserialize(e.wire));
-    const Bytes wire_response = response.serialize();
-    // The replica HAS applied the entry once dispatch returns: count it
+    // The replica HAS applied the entry once send returns: count it
     // now, so a fault on the ack leg below can never cause a re-ship
     // (each log entry crosses each replica's channel exactly once).
     r.applied_seq.fetch_add(1, std::memory_order_release);
@@ -339,7 +313,7 @@ bool ReplicaGroup::catch_up_locked(std::size_t i) {
     }
     emit("net.replica.ship");
     try {
-      r.endpoint.channel->transfer_response(wire_response.size(), e.method);
+      r.endpoint->reply(e.method, response);
     } catch (const Error&) {
       accrue_failure(i);
       emit("net.replica.ack_lost");
@@ -438,7 +412,7 @@ Bytes ReplicaGroup::call_write(const std::string& method, const Bytes& wire) {
     Replica& p = *replicas_[primary_];
     const auto t0 = std::chrono::steady_clock::now();
     try {
-      p.endpoint.channel->transfer_request(wire.size(), method);
+      response = p.endpoint->send(method, wire);
     } catch (const Error&) {
       accrue_failure(primary_);
       // Re-route only when the failure just demoted the primary (the next
@@ -451,17 +425,15 @@ Bytes ReplicaGroup::call_write(const std::string& method, const Bytes& wire) {
       }
       continue;
     }
-    response = p.endpoint.server->dispatch(Request::deserialize(wire));
     t0_elapsed = elapsed_ns(t0);
     break;
   }
   Replica& p = *replicas_[primary_];
-  const Bytes wire_response = response.serialize();
 
   if (!response.ok) {
     // Typed rejection: delivered, nothing mutated, nothing to replicate.
     note_success(primary_, t0_elapsed);
-    p.endpoint.channel->transfer_response(wire_response.size(), method);
+    p.endpoint->reply(method, response);
     throw Error(response.error, response.error_message);
   }
 
@@ -475,7 +447,7 @@ Bytes ReplicaGroup::call_write(const std::string& method, const Bytes& wire) {
 
   bool ack_lost = false;
   try {
-    p.endpoint.channel->transfer_response(wire_response.size(), method);
+    p.endpoint->reply(method, response);
     note_success(primary_, t0_elapsed);
   } catch (const Error&) {
     accrue_failure(primary_);

@@ -1,6 +1,6 @@
-// ReplicaGroup — N cloud endpoints behind independent channels, with
-// deterministic primary-backup replication, failure-accrual health, and
-// hedged reads.
+// ReplicaGroup — a Transport over N Endpoints (cloud nodes behind
+// independent channels), with deterministic primary-backup replication,
+// failure-accrual health, and hedged reads.
 //
 // The cloud node is a deterministic state machine over exact wire bytes
 // (the intent journal proved this: byte-identical replay converges). The
@@ -32,11 +32,11 @@
 // speculative retry), a hedge fires to the next-best replica after a
 // p95-derived delay; first success wins and the loser is discarded.
 // Methods outside the whitelist are never hedged and never re-sent after
-// their request leg has shipped.
+// their request leg has shipped. Hedge attempts run on the cloud's shared
+// CallPool, whose destructor lets a loser finish before the endpoints go.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,19 +46,10 @@
 
 #include "common/bytes.hpp"
 #include "common/perf_series.hpp"
-#include "net/channel.hpp"
-#include "net/message.hpp"
+#include "net/call_pool.hpp"
+#include "net/transport.hpp"
 
 namespace datablinder::net {
-
-class RpcServer;
-
-/// One replica: an RPC surface plus the (independently faultable) channel
-/// leading to it. Both are non-owning; core::ReplicatedCloud owns them.
-struct ReplicaEndpoint {
-  RpcServer* server = nullptr;
-  Channel* channel = nullptr;
-};
 
 /// Hedged-read tuning. The hedge delay is derived from the chosen
 /// replica's recent p95 latency, clamped to [min_delay_us, max_delay_us]:
@@ -96,34 +87,26 @@ struct ReplicaHealth {
 /// primary + replication log.
 bool is_read_method(const std::string& method);
 
-class ReplicaGroup {
+class ReplicaGroup final : public Transport {
  public:
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
-
   /// At least one endpoint; endpoint 0 starts as primary. Endpoints are
-  /// non-owning and must outlive the group.
-  ReplicaGroup(std::vector<ReplicaEndpoint> endpoints, HedgeConfig hedge = {},
+  /// non-owning. Hedge attempts run on `pool`, and a losing one may still
+  /// be running when call() returns: the owner destroys the pool (which
+  /// drains it) before the group and its endpoints.
+  ReplicaGroup(std::vector<Endpoint*> endpoints, CallPool& pool, HedgeConfig hedge = {},
                AccrualConfig accrual = {});
-
-  /// Drains in-flight hedge attempts before the endpoints can be torn down.
-  ~ReplicaGroup();
-
-  ReplicaGroup(const ReplicaGroup&) = delete;
-  ReplicaGroup& operator=(const ReplicaGroup&) = delete;
 
   /// Routes one already-serialized request (reads -> healthiest in-sync
   /// replica, hedged when eligible; writes -> primary + replication).
   /// Throws Error(kUnavailable) when no replica can serve it.
-  Bytes call(const std::string& method, const Bytes& wire_request);
+  Bytes call(const std::string& method, const Bytes& wire_request) override;
 
   /// Counter events ("net.hedge.*", "net.replica.*"). Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook);
+  void set_metrics_hook(MetricsHook hook) override;
 
-  /// Predicate gating hedges and post-send read failover: only methods the
-  /// retry whitelist declares replay-idempotent may be re-sent after their
-  /// request leg shipped. Installed by RpcClient from its RetryPolicy;
-  /// defaults to "nothing is hedgeable".
-  void set_hedgeable(std::function<bool(const std::string&)> pred);
+  /// Gates hedges and post-send read failover; defaults to "nothing is
+  /// hedgeable".
+  void set_hedgeable(Hedgeable pred) override;
 
   /// Ships the missing log suffix to every reachable replica (a healed
   /// replica rejoins without waiting for the next write). Returns how many
@@ -144,12 +127,9 @@ class ReplicaGroup {
   std::uint64_t applied_seq(std::size_t i) const;
   std::vector<ReplicaHealth> health() const;
 
-  Channel& channel(std::size_t i) { return *replicas_[i]->endpoint.channel; }
-  RpcServer& server(std::size_t i) { return *replicas_[i]->endpoint.server; }
-
  private:
   struct Replica {
-    ReplicaEndpoint endpoint;
+    Endpoint* endpoint = nullptr;
     PerfSeries latency;
     std::atomic<std::uint32_t> consecutive_failures{0};
     std::atomic<bool> suspected{false};
@@ -195,6 +175,7 @@ class ReplicaGroup {
 
   // unique_ptr: Replica holds atomics/PerfSeries and must not move.
   std::vector<std::unique_ptr<Replica>> replicas_;
+  CallPool& call_pool_;
   HedgeConfig hedge_;
   AccrualConfig accrual_;
 
@@ -206,13 +187,7 @@ class ReplicaGroup {
 
   mutable std::mutex hook_mutex_;
   MetricsHook hook_;
-  std::function<bool(const std::string&)> hedgeable_;
-
-  // Hedge attempts run on detached threads; the destructor blocks until
-  // every in-flight attempt has finished touching the endpoints.
-  mutable std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
-  std::size_t inflight_ = 0;
+  Hedgeable hedgeable_;
 };
 
 }  // namespace datablinder::net

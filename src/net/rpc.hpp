@@ -1,4 +1,4 @@
-// Request/response RPC over a simulated channel.
+// Request/response RPC over a Transport.
 //
 // The server registers byte-in/byte-out handlers per method name; handler
 // exceptions are converted into typed error responses so a DataBlinder
@@ -6,13 +6,17 @@
 // the serialization path is exercised end-to-end even though both ends run
 // in one process.
 //
+// The client serializes each call and hands the bytes to one Transport
+// (net/transport.hpp): a bare Endpoint, a ReplicaGroup or a ShardRouter.
+//
 // Resilience: with a RetryPolicy installed, transport failures
 // (kUnavailable) on whitelisted methods are retried with exponential
 // backoff + jitter under a per-call deadline budget, re-sending the SAME
 // serialized request bytes (byte-identical replay — see resilience.hpp for
 // why that preserves both exactly-once state and the leakage profile). The
-// channel's circuit breaker, when enabled, sheds calls while the endpoint
-// is down and probes it half-open after a cooldown.
+// transport's circuit breaker, when it has one and it is enabled, sheds
+// calls while the endpoint is down and probes it half-open after a
+// cooldown.
 #pragma once
 
 #include <functional>
@@ -26,11 +30,9 @@
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/resilience.hpp"
+#include "net/transport.hpp"
 
 namespace datablinder::net {
-
-class ReplicaGroup;
-class ShardRouter;
 
 class RpcServer {
  public:
@@ -52,32 +54,21 @@ class RpcServer {
 
 class RpcClient {
  public:
-  /// Both endpoint and channel must outlive the client.
-  RpcClient(RpcServer& server, Channel& channel) : server_(server), channel_(channel) {}
+  /// Every call goes through `transport`, which must outlive the client.
+  /// A kUnavailable escaping it is retried under the installed policy; a
+  /// replica group dedups the replayed bytes of a write whose ack was lost,
+  /// and a shard router re-derives byte-identical sub-requests (placement
+  /// is deterministic) that each shard's group dedups.
+  explicit RpcClient(Transport& transport) : transport_(transport) {}
 
-  /// Group mode: every call routes through the replica group (reads to the
-  /// healthiest in-sync replica, hedged when eligible; writes through the
-  /// primary + replication log). Per-replica failure accrual replaces the
-  /// single-channel circuit breaker. The retry loop still wraps the group:
-  /// a kUnavailable from it (no replica reachable, or an applied write
-  /// whose ack was lost) retries with the same backoff/whitelist/budget
-  /// rules, and the group dedups replayed writes byte-exactly. The group
-  /// must outlive the client.
-  explicit RpcClient(ReplicaGroup& group);
+  /// A client over its own Endpoint(server, channel); both must outlive it.
+  RpcClient(RpcServer& server, Channel& channel)
+      : owned_(std::make_unique<Endpoint>(server, channel)), transport_(*owned_) {}
 
-  /// Sharded mode: every call routes through the consistent-hash router
-  /// (single-key and scope methods to one shard, array methods scattered
-  /// with ordered merges, structure-wide reads broadcast). Each shard is a
-  /// ReplicaGroup, so the group-mode retry semantics apply per shard; the
-  /// retry loop wraps the whole routed operation and re-sends the same
-  /// top-level bytes, which re-derives byte-identical sub-requests (the
-  /// routing is deterministic) that each shard's log dedups. The router
-  /// must outlive the client.
-  explicit RpcClient(ShardRouter& router);
-
-  /// Full round trip: serialize, cross the channel, dispatch, cross back,
-  /// deserialize. Throws the server-side Error on failure responses.
-  /// Transport failures are retried per the installed RetryPolicy.
+  /// Full round trip: serialize, hand the bytes to the transport, return
+  /// the response payload. Throws the server-side Error on failure
+  /// responses. Transport failures are retried per the installed
+  /// RetryPolicy.
   Bytes call(const std::string& method, BytesView payload);
 
   // --- resilience -----------------------------------------------------------
@@ -91,9 +82,10 @@ class RpcClient {
 
   /// Observer for retry/breaker events. Series names: "net.retry.attempt",
   /// "net.retry.backoff_us", "net.retry.giveup", "net.retry.deadline",
-  /// "net.breaker.open", "net.breaker.reject". The gateway bridges these
-  /// into its PerfRegistry. Pass nullptr to clear.
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
+  /// "net.breaker.open", "net.breaker.reject", plus the transport's own
+  /// series. The gateway bridges these into its PerfRegistry. Pass nullptr
+  /// to clear.
+  using MetricsHook = Transport::MetricsHook;
   void set_metrics_hook(MetricsHook hook);
 
   // --- deferred batching ----------------------------------------------------
@@ -138,28 +130,24 @@ class RpcClient {
   /// it as method "rpc.batch".
   static RpcServer::Handler make_batch_handler(const RpcServer& server);
 
-  Channel& channel() noexcept { return channel_; }
-
-  /// The shard router, or nullptr outside sharded mode (the exec Planner
-  /// consults it to build per-shard scatter stages that agree with the
-  /// router's placement).
-  ShardRouter* shard_router() const noexcept { return router_; }
+  /// The transport every call goes through (the gateway configures its
+  /// breaker; the planner asks whether it is a ShardRouter).
+  Transport& transport() noexcept { return transport_; }
 
  private:
   struct Deferred {
     std::set<std::string> methods;
     std::vector<Request> queue;
   };
+  /// Per-(thread, client) deferred sections, keyed by client so independent
+  /// gateway stacks in one process never cross-contaminate.
+  static thread_local std::unordered_map<const RpcClient*, Deferred> t_deferred_;
   Deferred* deferred_slot() const noexcept;
 
-  /// One un-retried round trip of pre-serialized request bytes.
-  Bytes dispatch_once(const std::string& method, const Bytes& wire_request);
   void emit(const char* series, std::uint64_t value) const;
 
-  RpcServer& server_;
-  Channel& channel_;
-  ReplicaGroup* group_ = nullptr;   // non-null => group routing mode
-  ShardRouter* router_ = nullptr;   // non-null => sharded routing mode
+  std::unique_ptr<Endpoint> owned_;  // set by the (server, channel) constructor
+  Transport& transport_;
 
   mutable std::mutex policy_mutex_;  // guards policy_, clock_, hook_
   RetryPolicy policy_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <thread>
 
 #include "common/status.hpp"
 #include "doc/binary_codec.hpp"
@@ -113,20 +112,11 @@ std::size_t HashRing::shard_of(std::string_view key) const {
 
 // --- ShardRouter ------------------------------------------------------------
 
-ShardRouter::ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring)
-    : shards_(std::move(shards)), ring_(shards_.size(), ring) {
+ShardRouter::ShardRouter(std::vector<Transport*> shards, CallPool& pool, RingConfig ring)
+    : shards_(std::move(shards)), call_pool_(pool), ring_(shards_.size(), ring) {
   if (shards_.empty()) {
     throw_error(ErrorCode::kInvalidArgument, "shard router needs >= 1 backend");
   }
-}
-
-ShardRouter::~ShardRouter() {
-  {
-    std::lock_guard lock(pool_mutex_);
-    pool_stop_ = true;
-  }
-  pool_cv_.notify_all();
-  for (auto& t : pool_) t.join();
 }
 
 std::string ShardRouter::doc_key(const std::string& col, const std::string& id) {
@@ -184,32 +174,8 @@ void ShardRouter::set_metrics_hook(MetricsHook hook) {
   }
 }
 
-void ShardRouter::set_hedgeable(std::function<bool(const std::string&)> pred) {
+void ShardRouter::set_hedgeable(Hedgeable pred) {
   for (auto* shard : shards_) shard->set_hedgeable(pred);
-}
-
-// dblint:thread-root — persistent fan-out workers. Spawning a thread per
-// sub-call would burn a pthread_create/join pair per shard per scatter
-// (tens of microseconds each — comparable to the sub-call itself on a
-// loaded host); the pool pays that cost once and every scatter after that
-// is a condvar wake.
-void ShardRouter::pool_worker() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(pool_mutex_);
-      ++pool_idle_;
-      pool_cv_.wait(lock, [this] { return pool_stop_ || !pool_queue_.empty(); });
-      --pool_idle_;
-      if (pool_stop_ && pool_queue_.empty()) return;
-      task = std::move(pool_queue_.front());
-      pool_queue_.pop_front();
-    }
-    // 'task' was moved OUT of the queue under the lock; the std::function
-    // owns its state afterwards, nothing points back into pool_queue_.
-    // dblint:allow(guard-escape): task owns its state after the move-out
-    task();
-  }
 }
 
 std::vector<Bytes> ShardRouter::fan_out(
@@ -223,52 +189,10 @@ std::vector<Bytes> ShardRouter::fan_out(
   emit("net.shard.scatter");
   emit("net.shard.subcalls", calls.size());
 
-  // Per-scatter completion latch; every sub-call writes its own slot, so
-  // the result and error arrays need no lock of their own.
-  struct Latch {
-    std::mutex m;
-    std::condition_variable cv;
-    std::size_t pending;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->pending = calls.size() - 1;
-  std::vector<std::exception_ptr> errors(calls.size());
-  auto run_one = [this, &method, &calls, &out, &errors](std::size_t k) {
-    try {
-      out[k] = call_shard(calls[k].first, method, calls[k].second);
-    } catch (...) {
-      errors[k] = std::current_exception();
-    }
-  };
-  {
-    std::lock_guard lock(pool_mutex_);
-    for (std::size_t k = 1; k < calls.size(); ++k) {
-      pool_queue_.emplace_back([&run_one, latch, k] {
-        run_one(k);
-        std::lock_guard done(latch->m);
-        --latch->pending;
-        latch->cv.notify_one();
-      });
-    }
-    // Sub-calls BLOCK their worker for the whole channel exchange, so a
-    // fixed-size pool would serialize concurrent scatters from different
-    // gateway threads. Grow on demand (bounded) and keep idle workers
-    // parked on the condvar for the next scatter.
-    const std::size_t cap = std::max<std::size_t>(32, shards_.size() * 16);
-    std::size_t want = pool_queue_.size() > pool_idle_ ? pool_queue_.size() - pool_idle_ : 0;
-    while (want-- > 0 && pool_.size() < cap) {
-      pool_.emplace_back([this] { pool_worker(); });
-    }
-  }
-  pool_cv_.notify_all();
-  run_one(0);
-  {
-    std::unique_lock lock(latch->m);
-    latch->cv.wait(lock, [&latch] { return latch->pending == 0; });
-  }
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  // Every sub-call writes its own slot, so `out` needs no lock.
+  call_pool_.run_all(calls.size(), [this, &method, &calls, &out](std::size_t k) {
+    out[k] = call_shard(calls[k].first, method, calls[k].second);
+  });
   return out;
 }
 

@@ -1,5 +1,5 @@
-// ShardRouter — N shard backends (each a ReplicaGroup) behind a
-// consistent-hash ring.
+// ShardRouter — a Transport over N shard transports (each a ReplicaGroup)
+// behind a consistent-hash ring.
 //
 // The paper positions DataBlinder as *distributed* middleware; this is the
 // horizontal half of that claim. Documents shard by id ("doc/<col>/<id>"),
@@ -24,30 +24,26 @@
 // (ChannelStats-asserted in shard_router_test).
 //
 // Every multi-shard operation (scatter, broadcast, batch split) fans its
-// sub-calls out on a persistent worker pool so the per-shard channels
-// overlap without paying a thread spawn per sub-call; merges are ordered
-// and deterministic. Each backend is a full PR-7
+// sub-calls out on the cloud's shared CallPool so the per-shard channels
+// overlap; merges are ordered and deterministic. Each backend is a full
 // ReplicaGroup, so hedged reads, failure accrual and byte-exact
 // replication apply per shard unchanged — one shard's failover never
 // stalls its siblings.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
 #include "common/bytes.hpp"
-#include "net/replica_group.hpp"
+#include "net/call_pool.hpp"
+#include "net/transport.hpp"
 
 namespace datablinder::net {
 
@@ -73,17 +69,13 @@ class HashRing {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
 };
 
-class ShardRouter {
+class ShardRouter final : public Transport {
  public:
-  using MetricsHook = std::function<void(const char* series, std::uint64_t value)>;
-
   /// Backends are non-owning (core::ShardedCloud owns them) and must
-  /// outlive the router. At least one backend.
-  explicit ShardRouter(std::vector<ReplicaGroup*> shards, RingConfig ring = {});
-  ~ShardRouter();
-
-  ShardRouter(const ShardRouter&) = delete;
-  ShardRouter& operator=(const ShardRouter&) = delete;
+  /// outlive the router; each must dedup byte-identical replays, which a
+  /// ReplicaGroup's log provides. At least one backend. Multi-shard
+  /// sub-calls run on `pool`.
+  ShardRouter(std::vector<Transport*> shards, CallPool& pool, RingConfig ring = {});
 
   /// Routes one already-serialized request: single-key and scope-routed
   /// methods forward the exact wire bytes to one shard; array methods
@@ -91,7 +83,7 @@ class ShardRouter {
   /// reads broadcast and merge (concatenation, sums, or homomorphic
   /// multiplication for Paillier partials). Returns the decoded response
   /// payload; server-side errors re-throw typed.
-  Bytes call(const std::string& method, const Bytes& wire_request);
+  Bytes call(const std::string& method, const Bytes& wire_request) override;
 
   const HashRing& ring() const noexcept { return ring_; }
   std::size_t shards() const noexcept { return shards_.size(); }
@@ -106,12 +98,10 @@ class ShardRouter {
   /// "net.hedge.*") and once instance-labeled ("net.shard.<i>.replica.*")
   /// so per-shard counters never collide; the label set is bounded by the
   /// shard count. Pass nullptr to clear.
-  void set_metrics_hook(MetricsHook hook);
+  void set_metrics_hook(MetricsHook hook) override;
 
-  /// Forwarded to every shard group (hedging gate; see ReplicaGroup).
-  void set_hedgeable(std::function<bool(const std::string&)> pred);
-
-  ReplicaGroup& group(std::size_t i) { return *shards_[i]; }
+  /// Forwarded to every shard (hedging gate; see ReplicaGroup).
+  void set_hedgeable(Hedgeable pred) override;
 
  private:
   Bytes call_shard(std::size_t i, const std::string& method, const Bytes& wire);
@@ -119,15 +109,11 @@ class ShardRouter {
   static Bytes sub_request(const std::string& method, Bytes payload);
 
   /// Runs call_shard against every (shard, wire) pair concurrently — the
-  /// caller runs the first pair, persistent pool workers run the rest —
-  /// and returns the responses in pair order. Rethrows the first failure
-  /// after all sub-calls finished touching the backends.
+  /// caller runs the first pair, the pool the rest — and returns the
+  /// responses in pair order. Rethrows the first failure after all
+  /// sub-calls finished touching the backends.
   std::vector<Bytes> fan_out(const std::string& method,
                              const std::vector<std::pair<std::size_t, Bytes>>& calls);
-  /// Fan-out worker loop: parks on the condvar between scatters. Workers
-  /// are spawned on demand (bounded) because a sub-call blocks its worker
-  /// for the whole channel exchange.
-  void pool_worker();
 
   Bytes route_single(std::size_t shard, const std::string& method, const Bytes& wire);
   Bytes scatter_mget(const std::string& method, const Bytes& wire);
@@ -140,16 +126,9 @@ class ShardRouter {
 
   void emit(const char* series, std::uint64_t value = 1) const;
 
-  std::vector<ReplicaGroup*> shards_;
+  std::vector<Transport*> shards_;
+  CallPool& call_pool_;
   HashRing ring_;
-
-  /// Fan-out worker pool (lazily grown, joined by the destructor).
-  std::mutex pool_mutex_;
-  std::condition_variable pool_cv_;
-  std::deque<std::function<void()>> pool_queue_;
-  std::vector<std::thread> pool_;
-  std::size_t pool_idle_ = 0;
-  bool pool_stop_ = false;
 
   mutable std::mutex hook_mutex_;
   MetricsHook hook_;

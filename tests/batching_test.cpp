@@ -108,6 +108,24 @@ TEST(RpcBatchingTest, SectionsAreThreadLocal) {
   EXPECT_EQ(hits.load(), 2);
 }
 
+TEST(RpcBatchingTest, WorkerThreadSectionIsReleasedAtThreadExit) {
+  // A section opened and abandoned on a short-lived thread leaves nothing
+  // behind once the thread exits (LeakSanitizer checks the per-thread map).
+  net::RpcServer server;
+  server.register_method("rpc.batch", net::RpcClient::make_batch_handler(server));
+  net::Channel channel;
+  net::RpcClient client(server, channel);
+
+  std::thread worker([&client] {
+    client.begin_deferred({"upd"});
+    EXPECT_TRUE(client.in_deferred_section());
+    client.abandon_deferred();
+    EXPECT_FALSE(client.in_deferred_section());
+  });
+  worker.join();
+  EXPECT_FALSE(client.in_deferred_section());
+}
+
 TEST(RpcBatchingTest, NestedAndDanglingSectionsRejected) {
   net::RpcServer server;
   server.register_method("rpc.batch", net::RpcClient::make_batch_handler(server));

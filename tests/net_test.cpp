@@ -1,9 +1,16 @@
 // Network substrate tests: message framing, channel accounting/faults, RPC
-// dispatch and error propagation.
+// dispatch and error propagation, the shared call pool.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 
 #include "common/status.hpp"
 #include "common/stopwatch.hpp"
+#include "net/call_pool.hpp"
 #include "net/channel.hpp"
 #include "net/message.hpp"
 #include "net/rpc.hpp"
@@ -139,6 +146,53 @@ TEST(RpcTest, NonDataBlinderExceptionsBecomeInternal) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInternal);
   }
+}
+
+TEST(CallPoolTest, AtTheCapAJobRunsOnThePostingThread) {
+  // One worker, held busy: a second job cannot wait for it (it might be the
+  // job the worker waits on), so it runs on the submitting thread.
+  CallPool pool(1);
+  std::mutex m;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  std::thread::id first;
+  pool.submit([&] {
+    std::unique_lock lock(m);
+    first = std::this_thread::get_id();
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock lock(m);
+    cv.wait(lock, [&] { return started; });
+    EXPECT_NE(first, std::this_thread::get_id());
+  }
+  std::thread::id second;
+  pool.submit([&] { second = std::this_thread::get_id(); });
+  EXPECT_EQ(second, std::this_thread::get_id());
+  {
+    std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+}
+
+TEST(CallPoolTest, RunAllFinishesEveryJobThenRethrowsTheLowestIndexedFailure) {
+  CallPool pool(4);
+  std::atomic<int> ran{0};
+  try {
+    pool.run_all(5, [&ran](std::size_t k) {
+      ++ran;
+      if (k == 3) throw std::runtime_error("job 3");
+      if (k == 1) throw std::runtime_error("job 1");
+    });
+    FAIL() << "expected a failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "job 1");
+  }
+  EXPECT_EQ(ran.load(), 5);
 }
 
 }  // namespace

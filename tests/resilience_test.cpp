@@ -8,17 +8,20 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
+#include "core/sharding.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
 #include "fhir/observation.hpp"
 #include "net/channel.hpp"
 #include "net/resilience.hpp"
 #include "net/rpc.hpp"
+#include "net/transport.hpp"
 
 namespace datablinder {
 namespace {
@@ -160,6 +163,45 @@ TEST(ResilienceTest, RetryReplaysSameBytesWithExponentialBackoff) {
   EXPECT_EQ(clock.sleeps[0], 1000u);
   EXPECT_EQ(clock.sleeps[1], 2000u);
   EXPECT_EQ(ch.stats().faults_injected.load(), 2u);
+}
+
+/// Transport double: fails the first `failures` calls with kUnavailable,
+/// then echoes; records the exact bytes of every call.
+class FlakyTransport : public net::Transport {
+ public:
+  explicit FlakyTransport(int failures) : failures_(failures) {}
+
+  Bytes call(const std::string& method, const Bytes& wire_request) override {
+    methods.push_back(method);
+    wires.push_back(wire_request);
+    if (failures_-- > 0) throw_error(ErrorCode::kUnavailable, "flaky");
+    return net::Request::deserialize(wire_request).payload;
+  }
+
+  std::vector<std::string> methods;
+  std::vector<Bytes> wires;
+
+ private:
+  int failures_;
+};
+
+TEST(ResilienceTest, RetryLoopResendsSameBytesOverAnyTransport) {
+  // No server, no channel: the retry loop sits on the Transport interface
+  // alone and re-sends the first attempt's bytes.
+  FlakyTransport transport(2);
+  net::RpcClient rpc(transport);
+  FakeClock clock;
+  rpc.set_clock(&clock);
+  net::RetryPolicy p = net::RetryPolicy::standard();
+  p.jitter = 0.0;
+  rpc.set_retry_policy(p);
+
+  EXPECT_EQ(to_string(rpc.call("doc.get", to_bytes("payload"))), "payload");
+  ASSERT_EQ(transport.wires.size(), 3u);
+  EXPECT_EQ(transport.wires[1], transport.wires[0]);
+  EXPECT_EQ(transport.wires[2], transport.wires[0]);
+  EXPECT_EQ(transport.methods, std::vector<std::string>(3, "doc.get"));
+  EXPECT_EQ(clock.sleeps.size(), 2u);
 }
 
 TEST(ResilienceTest, JitterIsSeededAndBounded) {
@@ -383,6 +425,36 @@ TEST(ResilienceTest, BreakerWalksClosedOpenHalfOpenClosed) {
   clock.now_ += 1500;
   EXPECT_EQ(to_string(rpc.call("echo.get", to_bytes("x"))), "x");
   EXPECT_EQ(ch.breaker().state(), State::kClosed);
+}
+
+TEST(ResilienceTest, GatewayRejectsBreakerWhereFailureAccrualRules) {
+  // Replica groups and shard routers have no circuit breaker: a breaker
+  // setting there would silently do nothing, so the gateway refuses it.
+  core::GatewayConfig cfg;
+  cfg.tactic_params = {{"paillier_modulus_bits", "256"}};
+  cfg.breaker.enabled = true;
+  kms::KeyManager kms;
+  store::KvStore local;
+  for (const auto& [shards, replicas] : {std::pair<std::size_t, std::size_t>{1, 3},
+                                         std::pair<std::size_t, std::size_t>{2, 1}}) {
+    cfg.shards = shards;
+    cfg.replicas = replicas;
+    core::ShardedCloud cloud(cfg);
+    try {
+      core::Gateway gateway(cloud.client(), kms, local, registry(), cfg);
+      FAIL() << "expected the breaker to be rejected (" << shards << "x" << replicas
+             << ")";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
+  }
+
+  // The single-endpoint shape keeps its breaker: it lands on the channel.
+  cfg.shards = 1;
+  cfg.replicas = 1;
+  core::ShardedCloud plain(cfg);
+  core::Gateway gateway(plain.client(), kms, local, registry(), cfg);
+  EXPECT_TRUE(plain.channel(0).breaker().enabled());
 }
 
 // --- Gateway integration: metrics + retried insert ---------------------------
