@@ -9,7 +9,7 @@
 //
 // This is the kernel under every public-key hot path in the library:
 // Paillier encrypt/decrypt (mod n^2, and mod p^2/q^2 under CRT), the
-// Sophos RSA trapdoor permutation, and ElGamal's four exponentiations.
+// and the Sophos RSA trapdoor permutation.
 // Callers hold one context per long-lived modulus; `BigInt::pow_mod`
 // builds a transient context for one-shot odd-modulus calls.
 //

@@ -40,13 +40,13 @@ CloudNode::CloudNode() {
 std::size_t CloudNode::storage_bytes() const {
   std::size_t n = docs_.storage_bytes() + kv_.storage_bytes();
   // SSE server dictionaries.
-  for (const auto& [scope, s] : mitra_) n += s->dict().storage_bytes();
+  for (const auto& [scope, s] : mitra_) n += s->server.dict().storage_bytes();
   for (const auto& [scope, s] : mitra_sl_) {
-    n += s->entries().storage_bytes() + s->counters().storage_bytes();
+    n += s->server.entries().storage_bytes() + s->server.counters().storage_bytes();
   }
   for (const auto& [scope, s] : sophos_) n += s->dict().storage_bytes();
-  for (const auto& [scope, s] : iex_) n += s->dict().storage_bytes();
-  for (const auto& [scope, s] : zmf_) n += s->storage_bytes();
+  for (const auto& [scope, s] : iex_) n += s->server.dict().storage_bytes();
+  for (const auto& [scope, s] : zmf_) n += s->server.storage_bytes();
   return n;
 }
 
@@ -55,20 +55,20 @@ std::uint64_t CloudNode::state_digest() const {
   // unordered scope-map iteration order cannot matter.
   std::uint64_t digest = docs_.fingerprint() * 3 + kv_.fingerprint();
   for (const auto& [scope, s] : mitra_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+    digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.dict().fingerprint());
   }
   for (const auto& [scope, s] : mitra_sl_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope),
-                    s->entries().fingerprint() * 3 + s->counters().fingerprint());
+    digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.entries().fingerprint() * 3 +
+                                                  s->server.counters().fingerprint());
   }
   for (const auto& [scope, s] : sophos_) {
     digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
   }
   for (const auto& [scope, s] : iex_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+    digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.dict().fingerprint());
   }
   for (const auto& [scope, s] : zmf_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->fingerprint());
+    digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.fingerprint());
   }
   for (const auto& [column, col] : agg_) {
     std::uint64_t h = fnv1a(kFnvOffset, column);
@@ -82,33 +82,36 @@ std::uint64_t CloudNode::state_digest() const {
   return digest;
 }
 
-sse::MitraServer& CloudNode::mitra(const std::string& scope) {
+CloudNode::SseScope<sse::MitraServer>& CloudNode::mitra(const std::string& scope) {
   std::lock_guard lock(sse_mutex_);
   auto& slot = mitra_[scope];
-  if (!slot) slot = std::make_unique<sse::MitraServer>();
+  if (!slot) slot = std::make_unique<SseScope<sse::MitraServer>>();
   return *slot;
 }
 
-sse::MitraStatelessServer& CloudNode::mitra_sl(const std::string& scope) {
+CloudNode::SseScope<sse::MitraStatelessServer>& CloudNode::mitra_sl(
+    const std::string& scope) {
   std::lock_guard lock(sse_mutex_);
   auto& slot = mitra_sl_[scope];
-  if (!slot) slot = std::make_unique<sse::MitraStatelessServer>();
+  if (!slot) slot = std::make_unique<SseScope<sse::MitraStatelessServer>>();
   return *slot;
 }
 
-sse::Iex2LevServer& CloudNode::iex(const std::string& scope) {
+CloudNode::SseScope<sse::Iex2LevServer>& CloudNode::iex(const std::string& scope) {
   std::lock_guard lock(sse_mutex_);
   auto& slot = iex_[scope];
-  if (!slot) slot = std::make_unique<sse::Iex2LevServer>();
+  if (!slot) slot = std::make_unique<SseScope<sse::Iex2LevServer>>();
   return *slot;
 }
 
-sse::IexZmfServer& CloudNode::zmf(const std::string& scope,
-                                  const sse::ZmfFilterParams* params) {
+CloudNode::SseScope<sse::IexZmfServer>& CloudNode::zmf(
+    const std::string& scope, const sse::ZmfFilterParams* params) {
   std::lock_guard lock(sse_mutex_);
   auto& slot = zmf_[scope];
-  if (!slot) slot = std::make_unique<sse::IexZmfServer>(params ? *params
-                                                               : sse::ZmfFilterParams{});
+  if (!slot) {
+    slot = std::make_unique<SseScope<sse::IexZmfServer>>(params ? *params
+                                                                : sse::ZmfFilterParams{});
+  }
   return *slot;
 }
 
@@ -279,7 +282,7 @@ void CloudNode::register_mitra_handlers() {
     sse::MitraUpdateToken token;
     token.address = wire::get_bin(req, "address");
     token.value = wire::get_bin(req, "value");
-    mitra(wire::get_str(req, "scope")).apply_update(token);
+    mitra(wire::get_str(req, "scope")).write([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -289,7 +292,8 @@ void CloudNode::register_mitra_handlers() {
     for (const auto& a : wire::get_arr(req, "addresses")) {
       token.addresses.push_back(a.as_binary());
     }
-    const auto values = mitra(wire::get_str(req, "scope")).search(token);
+    const auto values =
+        mitra(wire::get_str(req, "scope")).read([&](auto& s) { return s.search(token); });
     index_ops_ += token.addresses.size();
     Array arr;
     arr.reserve(values.size());
@@ -306,8 +310,9 @@ void CloudNode::register_mitra_handlers() {
 void CloudNode::register_mitra_stateless_handlers() {
   rpc_.register_method("mitrasl.get_counter", [this](BytesView p) {
     const Object req = wire::unpack(p);
-    auto blob = mitra_sl(wire::get_str(req, "scope"))
-                    .get_counter(wire::get_bin(req, "label"));
+    auto blob = mitra_sl(wire::get_str(req, "scope")).read([&](auto& s) {
+      return s.get_counter(wire::get_bin(req, "label"));
+    });
     ++index_ops_;
     Object out;
     out["found"] = Value(blob.has_value());
@@ -317,12 +322,13 @@ void CloudNode::register_mitra_stateless_handlers() {
   rpc_.register_method("mitrasl.update", [this](BytesView p) {
     // Atomic second round: store the new counter blob and the new entry.
     const Object req = wire::unpack(p);
-    auto& server = mitra_sl(wire::get_str(req, "scope"));
-    server.put_counter(wire::get_bin(req, "label"), wire::get_bin(req, "counter"));
     sse::MitraUpdateToken token;
     token.address = wire::get_bin(req, "address");
     token.value = wire::get_bin(req, "value");
-    server.apply_update(token);
+    mitra_sl(wire::get_str(req, "scope")).write([&](auto& s) {
+      s.put_counter(wire::get_bin(req, "label"), wire::get_bin(req, "counter"));
+      s.apply_update(token);
+    });
     index_ops_ += 2;
     return wire::pack({});
   });
@@ -332,7 +338,8 @@ void CloudNode::register_mitra_stateless_handlers() {
     for (const auto& a : wire::get_arr(req, "addresses")) {
       token.addresses.push_back(a.as_binary());
     }
-    const auto values = mitra_sl(wire::get_str(req, "scope")).search(token);
+    const auto values =
+        mitra_sl(wire::get_str(req, "scope")).read([&](auto& s) { return s.search(token); });
     index_ops_ += token.addresses.size();
     Array arr;
     arr.reserve(values.size());
@@ -397,7 +404,7 @@ void CloudNode::register_iex_handlers() {
     sse::IexUpdateToken token;
     token.address = wire::get_bin(req, "address");
     token.value = wire::get_bin(req, "value");
-    iex(wire::get_str(req, "scope")).apply_update(token);
+    iex(wire::get_str(req, "scope")).write([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -410,7 +417,8 @@ void CloudNode::register_iex_handlers() {
       index_ops_ += addresses.size();
       token.lists.push_back(std::move(addresses));
     }
-    const auto lists = iex(wire::get_str(req, "scope")).search(token);
+    const auto lists =
+        iex(wire::get_str(req, "scope")).read([&](auto& s) { return s.search(token); });
     Array out;
     for (const auto& values : lists) {
       Array inner;
@@ -440,7 +448,7 @@ void CloudNode::register_zmf_handlers() {
     token.value = wire::get_bin(req, "value");
     token.salt = wire::get_bin(req, "salt");
     token.filter = wire::get_bin(req, "filter");
-    zmf(wire::get_str(req, "scope"), nullptr).apply_update(token);
+    zmf(wire::get_str(req, "scope"), nullptr).write([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -454,7 +462,9 @@ void CloudNode::register_zmf_handlers() {
       token.keyword_tokens.push_back(t.as_binary());
     }
     index_ops_ += token.addresses.size();
-    const auto values = zmf(wire::get_str(req, "scope"), nullptr).search(token);
+    const auto values = zmf(wire::get_str(req, "scope"), nullptr).read([&](auto& s) {
+      return s.search(token);
+    });
     Array arr;
     arr.reserve(values.size());
     for (const auto& v : values) arr.emplace_back(v);

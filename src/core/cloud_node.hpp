@@ -13,8 +13,10 @@
 
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
@@ -68,21 +70,48 @@ class CloudNode {
   void register_plain_handlers();
   void register_admin_handlers();
 
-  sse::MitraServer& mitra(const std::string& scope);
-  sse::MitraStatelessServer& mitra_sl(const std::string& scope);
-  sse::Iex2LevServer& iex(const std::string& scope);
-  sse::IexZmfServer& zmf(const std::string& scope, const sse::ZmfFilterParams* params);
+  /// One scope's SSE server behind a reader/writer lock: handlers update
+  /// through write() (exclusive) and search through read() (shared), so
+  /// concurrent searches of one scope stay parallel while writes serialize.
+  template <typename Server>
+  struct SseScope {
+    template <typename... Args>
+    explicit SseScope(Args&&... args) : server(std::forward<Args>(args)...) {}
+
+    template <typename Fn>
+    auto write(Fn&& fn) {
+      std::unique_lock lock(mutex);
+      return fn(server);
+    }
+    template <typename Fn>
+    auto read(Fn&& fn) {
+      std::shared_lock lock(mutex);
+      return fn(std::as_const(server));
+    }
+
+    std::shared_mutex mutex;
+    Server server;  // unlocked access only from the quiescent digest/size walks
+  };
+
+  /// Finds or creates a scope under sse_mutex_. Scopes are never erased,
+  /// so the reference stays valid after that lock is released.
+  SseScope<sse::MitraServer>& mitra(const std::string& scope);
+  SseScope<sse::MitraStatelessServer>& mitra_sl(const std::string& scope);
+  SseScope<sse::Iex2LevServer>& iex(const std::string& scope);
+  SseScope<sse::IexZmfServer>& zmf(const std::string& scope,
+                                   const sse::ZmfFilterParams* params);
 
   net::RpcServer rpc_;
   store::DocumentStore docs_;
   store::KvStore kv_;
 
-  std::mutex sse_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<sse::MitraServer>> mitra_;
-  std::unordered_map<std::string, std::unique_ptr<sse::MitraStatelessServer>> mitra_sl_;
+  std::mutex sse_mutex_;  // guards the scope maps; Sophos is serialized on it whole
+  std::unordered_map<std::string, std::unique_ptr<SseScope<sse::MitraServer>>> mitra_;
+  std::unordered_map<std::string, std::unique_ptr<SseScope<sse::MitraStatelessServer>>>
+      mitra_sl_;
   std::unordered_map<std::string, std::unique_ptr<sse::SophosServer>> sophos_;
-  std::unordered_map<std::string, std::unique_ptr<sse::Iex2LevServer>> iex_;
-  std::unordered_map<std::string, std::unique_ptr<sse::IexZmfServer>> zmf_;
+  std::unordered_map<std::string, std::unique_ptr<SseScope<sse::Iex2LevServer>>> iex_;
+  std::unordered_map<std::string, std::unique_ptr<SseScope<sse::IexZmfServer>>> zmf_;
 
   struct AggColumn {
     bigint::BigInt n;          // Paillier public modulus

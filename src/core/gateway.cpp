@@ -44,7 +44,7 @@ Gateway::Gateway(net::RpcClient& cloud, kms::KeyManager& kms,
                       ? std::make_unique<CostModel>(perf_, config_.cost, cache_.get())
                       : nullptr),
       planner_(cloud_, perf_, cache_.get(), cost_model_.get()),
-      executor_(perf_, config_.index_workers) {
+      executor_(perf_) {
   if (config_.breaker.enabled) {
     // Replica groups and shard routers track health by failure accrual and
     // have no breaker: refuse a setting that would silently do nothing.

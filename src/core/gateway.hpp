@@ -35,7 +35,6 @@
 #include "core/registry.hpp"
 #include "doc/value.hpp"
 #include "net/replica_group.hpp"
-#include "net/shard_router.hpp"
 
 namespace datablinder::core {
 
@@ -43,10 +42,6 @@ struct GatewayConfig {
   /// Forwarded to every tactic's GatewayContext (e.g.
   /// "paillier_modulus_bits", "sophos_modulus_bits", "zmf_filter_bits").
   std::map<std::string, std::string> tactic_params;
-
-  /// Worker threads for the executor's per-stage fan-out; 0 = auto (a
-  /// small pool derived from the hardware concurrency).
-  std::size_t index_workers = 0;
 
   /// Retry policy installed on the cloud RPC client when .enabled (default
   /// off: the seed fails fast). See net::RetryPolicy::standard().
@@ -107,10 +102,6 @@ struct GatewayConfig {
   /// consistent-hash router scatters keys across them: documents by id,
   /// SSE postings by keyword token, scope-coupled structures whole.
   std::size_t shards = 1;
-
-  /// Consistent-hash ring tuning (virtual nodes, placement seed) for the
-  /// shard router; ignored unless shards > 1.
-  net::RingConfig shard_ring;
 };
 
 class Gateway {

@@ -41,8 +41,7 @@ ShardedCloud::ShardedCloud(const GatewayConfig& config,
     client_ = std::make_unique<net::RpcClient>(*shards_[0].group);
     return;
   }
-  router_ = std::make_unique<net::ShardRouter>(std::move(groups), call_pool_,
-                                               config.shard_ring);
+  router_ = std::make_unique<net::ShardRouter>(std::move(groups), call_pool_);
   client_ = std::make_unique<net::RpcClient>(*router_);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <set>
 #include <tuple>
 
 #include "common/status.hpp"
@@ -20,20 +19,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
-
-bool is_read_method(const std::string& method) {
-  // Mirrors the "Reads" group of RetryPolicy::standard(): methods whose
-  // cloud handlers never mutate state, so any in-sync replica may serve
-  // them. Everything else routes through the primary + replication log.
-  static const std::set<std::string> kReads = {
-      "doc.get",        "doc.mget",          "doc.list",       "det.search",
-      "ope.range",      "ope.extreme",       "ore.range",      "mitra.search",
-      "mitrasl.search", "mitrasl.get_counter", "sophos.search", "iex.search",
-      "zmf.search",     "agg.sum",           "admin.storage",  "admin.index_ops",
-      "admin.digest",   "plain.get",         "plain.find_eq",  "plain.find_range",
-      "plain.find_bool", "plain.avg"};
-  return kReads.count(method) > 0;
-}
 
 ReplicaGroup::ReplicaGroup(std::vector<Endpoint*> endpoints, CallPool& pool,
                            HedgeConfig hedge, AccrualConfig accrual)

@@ -33,16 +33,25 @@ bool RetryPolicy::retryable(const std::string& method) const {
   return false;
 }
 
+const std::set<std::string>& read_methods() {
+  static const std::set<std::string> kReads = {
+      "doc.get",        "doc.mget",          "doc.list",       "det.search",
+      "ope.range",      "ope.extreme",       "ore.range",      "mitra.search",
+      "mitrasl.search", "mitrasl.get_counter", "sophos.search", "iex.search",
+      "zmf.search",     "agg.sum",           "admin.storage",  "admin.index_ops",
+      "admin.digest",   "plain.get",         "plain.find_eq",  "plain.find_range",
+      "plain.find_bool", "plain.avg"};
+  return kReads;
+}
+
+bool is_read_method(const std::string& method) { return read_methods().count(method) > 0; }
+
 RetryPolicy RetryPolicy::standard() {
   RetryPolicy p;
   p.enabled = true;
-  p.retryable_methods = {
-      // Reads: no server-side state change.
-      "doc.get", "doc.mget", "doc.list", "det.search", "ope.range", "ope.extreme",
-      "ore.range", "mitra.search", "mitrasl.search", "mitrasl.get_counter",
-      "sophos.search", "iex.search", "zmf.search", "agg.sum", "admin.storage",
-      "admin.index_ops", "admin.digest", "plain.get", "plain.find_eq",
-      "plain.find_range", "plain.find_bool", "plain.avg",
+  // Reads: no server-side state change.
+  p.retryable_methods = read_methods();
+  p.retryable_methods.insert({
       // Updates whose handlers are keyed overwrites (sadd / zadd / hset /
       // dict.put): a byte-identical replay re-writes the same key with the
       // same value, so at-least-once delivery yields exactly-once state.
@@ -54,7 +63,7 @@ RetryPolicy RetryPolicy::standard() {
       "sophos.setup", "zmf.setup", "agg.setup",
       // The deferred-batch envelope only ever carries methods from the
       // update group above.
-      "rpc.batch"};
+      "rpc.batch"});
   return p;
 }
 

@@ -35,6 +35,13 @@ class RetryClock {
   static RetryClock& system();
 };
 
+/// Server-side read methods: no cloud state change, so any in-sync replica
+/// may serve them (and hedge them, if also replay-idempotent), and
+/// RetryPolicy::standard() retries them. Every other method is a state
+/// mutation, routed through the primary and the replication log.
+const std::set<std::string>& read_methods();
+bool is_read_method(const std::string& method);
+
 /// Retry policy for RpcClient::call. Disabled by default: the seed
 /// behaviour (fail fast on the first kUnavailable) is preserved unless the
 /// gateway opts in.

@@ -112,8 +112,8 @@ std::size_t HashRing::shard_of(std::string_view key) const {
 
 // --- ShardRouter ------------------------------------------------------------
 
-ShardRouter::ShardRouter(std::vector<Transport*> shards, CallPool& pool, RingConfig ring)
-    : shards_(std::move(shards)), call_pool_(pool), ring_(shards_.size(), ring) {
+ShardRouter::ShardRouter(std::vector<Transport*> shards, CallPool& pool)
+    : shards_(std::move(shards)), call_pool_(pool), ring_(shards_.size()) {
   if (shards_.empty()) {
     throw_error(ErrorCode::kInvalidArgument, "shard router needs >= 1 backend");
   }

@@ -75,7 +75,7 @@ class ShardRouter final : public Transport {
   /// outlive the router; each must dedup byte-identical replays, which a
   /// ReplicaGroup's log provides. At least one backend. Multi-shard
   /// sub-calls run on `pool`.
-  ShardRouter(std::vector<Transport*> shards, CallPool& pool, RingConfig ring = {});
+  ShardRouter(std::vector<Transport*> shards, CallPool& pool);
 
   /// Routes one already-serialized request: single-key and scope-routed
   /// methods forward the exact wire bytes to one shard; array methods

@@ -124,6 +124,62 @@ TEST(ConcurrencyTest, GatewayParallelUsersStayConsistent) {
   EXPECT_EQ(avg.count, static_cast<std::uint64_t>(kUsers * kDocsPerUser));
 }
 
+TEST(ConcurrencyTest, ConcurrentInsertManyBatchesIntoOneCollection) {
+  // insert_many ships each thread's index updates as one rpc.batch after
+  // the gateway's tactic locks are released, so the cloud applies two
+  // batches to the same SSE scopes at once; its per-scope locks must
+  // serialize the updates.
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc(cloud.rpc(), channel);
+  kms::KeyManager kms;
+  store::KvStore local;
+  core::TacticRegistry registry;
+  core::register_builtin_tactics(registry);
+  core::Gateway gateway(rpc, kms, local, registry,
+                        core::GatewayConfig{{{"paillier_modulus_bits", "256"}}});
+  gateway.register_schema(fhir::benchmark_schema("obs"));
+
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 3;
+  constexpr int kDocsPerRound = 20;
+  std::vector<std::set<DocId>> inserted(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        fhir::ObservationGenerator gen(3000 + t);
+        for (int r = 0; r < kRounds; ++r) {
+          std::vector<Document> corpus;
+          for (int i = 0; i < kDocsPerRound; ++i) {
+            Document d = gen.next();
+            d.set("subject", Value("batch" + std::to_string(t)));
+            corpus.push_back(std::move(d));
+          }
+          for (auto& id : gateway.insert_many("obs", std::move(corpus))) {
+            inserted[t].insert(std::move(id));
+          }
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  for (int t = 0; t < kThreads; ++t) {
+    std::set<DocId> found;
+    for (const auto& d :
+         gateway.equality_search("obs", "subject", Value("batch" + std::to_string(t)))) {
+      found.insert(d.id);
+    }
+    EXPECT_EQ(inserted[t].size(), static_cast<std::size_t>(kRounds * kDocsPerRound));
+    EXPECT_EQ(found, inserted[t]) << "thread " << t;
+  }
+}
+
 TEST(ConcurrencyTest, ParallelSearchesDuringWrites) {
   core::CloudNode cloud;
   net::Channel channel;
@@ -246,11 +302,9 @@ struct RendezvousRig {
 
 TEST(IndexFanOutTest, OneInsertIndexesItsFieldsInParallel) {
   // Intra-plan fan-out: a single insert's per-field index steps run on the
-  // executor's worker pool concurrently.
+  // executor's pool concurrently (its default cap allows at least two).
   RendezvousRig rig;
-  core::GatewayConfig cfg;
-  cfg.index_workers = 4;
-  core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry, cfg);
+  core::Gateway gw(rig.rpc, rig.kms, rig.local, rig.registry, {});
   gw.register_schema(rig.schema_with("c", {"a", "b"}));
   ASSERT_EQ(gw.plan("c").fields.at("a").eq_tactic, "Rendezvous");
 

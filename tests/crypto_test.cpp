@@ -44,6 +44,18 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdateBetweenChunksIsANoOp) {
+  // A default BytesView has a null data pointer; feeding it while a partial
+  // block is buffered must neither change the digest nor touch the pointer.
+  const Bytes data = DetRng(2).bytes(100);
+  Sha256 h;
+  h.update(BytesView(data).first(10));
+  h.update(BytesView{});
+  h.update(BytesView(data).subspan(10));
+  h.update(BytesView{});
+  EXPECT_EQ(h.finalize(), Sha256::digest(data));
+}
+
 TEST(HmacTest, Rfc4231Vectors) {
   // Test case 1.
   EXPECT_EQ(hex_encode(HmacSha256::mac(Bytes(20, 0x0b), to_bytes("Hi There"))),

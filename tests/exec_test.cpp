@@ -2,8 +2,12 @@
 // retrieval (doc.mget), and tactic-parameter parsing.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+
 #include "common/status.hpp"
 #include "core/cloud_node.hpp"
+#include "core/exec/executor.hpp"
 #include "core/gateway.hpp"
 #include "core/tactics/builtin.hpp"
 #include "core/wire.hpp"
@@ -198,6 +202,33 @@ TEST(ExecutorTest, StepFailureSurfacesOnCallingThread) {
   }
   rig.channel.reopen();
   EXPECT_NO_THROW(gw.insert("people", d));
+}
+
+TEST(ExecutorTest, LowestIndexedStepFailureIsRethrownAfterEveryStepRan) {
+  core::PerfRegistry perf;
+  core::exec::Executor executor(perf);
+  std::atomic<int> ran{0};
+  core::exec::OperationPlan plan;
+  plan.op = core::TacticOperation::kInsert;
+  core::exec::PlanStage stage{"index", {}};
+  for (int i = 0; i < 8; ++i) {
+    core::exec::PlanStep step;
+    step.label = "step" + std::to_string(i);
+    step.run = [&ran, i] {
+      ++ran;
+      if (i == 5) throw Error(ErrorCode::kInternal, "step 5");
+      if (i == 2) throw Error(ErrorCode::kUnavailable, "step 2");
+    };
+    stage.steps.push_back(std::move(step));
+  }
+  plan.stages.push_back(std::move(stage));
+  try {
+    executor.run(plan);
+    FAIL() << "expected the step 2 failure";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
+  }
+  EXPECT_EQ(ran.load(), 8);
 }
 
 }  // namespace

@@ -304,7 +304,18 @@ TEST(ResilienceTest, StandardWhitelistCoversReadsAndKeyedOverwrites) {
        {"doc.get", "doc.mget", "doc.list", "det.search", "mitra.search",
         "mitrasl.search", "mitrasl.get_counter", "sophos.search", "iex.search",
         "zmf.search", "ope.range", "ore.range", "agg.sum", "admin.digest"}) {
+    EXPECT_TRUE(net::is_read_method(m)) << m;
     EXPECT_TRUE(p.retryable(m)) << m;
+  }
+  // Every method a replica group serves as a read is whitelisted: both
+  // consult the one list.
+  EXPECT_EQ(net::read_methods().size(), 22u);
+  for (const auto& m : net::read_methods()) {
+    EXPECT_TRUE(net::is_read_method(m)) << m;
+    EXPECT_TRUE(p.retryable(m)) << m;
+  }
+  for (const char* m : {"doc.put", "mitra.update", "rpc.batch", "sophos.setup"}) {
+    EXPECT_FALSE(net::is_read_method(m)) << m;
   }
   // Updates whose handlers are keyed overwrites absorb byte-identical replay.
   for (const char* m : {"doc.put", "det.insert", "mitra.update", "agg.insert",
