@@ -3,9 +3,12 @@
 // Fig. 1). google-benchmark binary.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
 #include "common/rng.hpp"
+#include "crypto/aes_kernels.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/prf.hpp"
@@ -66,15 +69,36 @@ void BM_AesGcmSeal(benchmark::State& state) {
 }
 BENCHMARK(BM_AesGcmSeal)->Arg(128)->Arg(1024)->Arg(8192);
 
-void BM_AesGcmOpen(benchmark::State& state) {
-  const crypto::AesGcm gcm(Bytes(32, 1));
+void run_gcm_open(benchmark::State& state, const crypto::AesGcm& gcm) {
   const Bytes nonce(12, 2);
-  const Bytes sealed = gcm.seal(nonce, DetRng(4).bytes(1024));
+  const Bytes sealed =
+      gcm.seal(nonce, DetRng(4).bytes(static_cast<std::size_t>(state.range(0))));
   for (auto _ : state) {
     benchmark::DoNotOptimize(gcm.open(nonce, sealed));
   }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AesGcmOpen);
+
+void BM_AesGcmOpen(benchmark::State& state) {
+  // The public class: runs on whichever kernel set CPUID chose.
+  run_gcm_open(state, crypto::AesGcm(Bytes(32, 1)));
+}
+BENCHMARK(BM_AesGcmOpen)->Arg(1024)->Arg(8192);
+
+void BM_AesGcmOpenPortable(benchmark::State& state) {
+  run_gcm_open(state, crypto::AesGcm(Bytes(32, 1), crypto::detail::portable_kernels()));
+}
+BENCHMARK(BM_AesGcmOpenPortable)->Arg(8192);
+
+void BM_AesGcmOpenHardware(benchmark::State& state) {
+  const crypto::detail::AesKernels* hw = crypto::detail::hardware_kernels();
+  if (hw == nullptr) {
+    state.SkipWithError("no AES-NI/PCLMULQDQ on this CPU");
+    return;
+  }
+  run_gcm_open(state, crypto::AesGcm(Bytes(32, 1), *hw));
+}
+BENCHMARK(BM_AesGcmOpenHardware)->Arg(8192);
 
 void BM_AesSivSeal(benchmark::State& state) {
   const crypto::AesSiv siv(Bytes(32, 5));
@@ -230,6 +254,42 @@ void BM_PaillierAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierAdd);
+
+/// A cloud-side aggregate column: `range(0)` ciphertexts under one 512-bit key.
+std::vector<BigInt> paillier_column(const phe::PaillierKeyPair& kp, std::int64_t size) {
+  std::vector<BigInt> cts;
+  for (std::int64_t i = 0; i < size; ++i) cts.push_back(kp.pub.encrypt_i64(i));
+  return cts;
+}
+
+void BM_PaillierFold(benchmark::State& state) {
+  // agg.sum: one CIOS pass per ciphertext, one R^k correction at the end.
+  phe::PaillierKeyPair kp = phe::paillier_generate(512);
+  kp.pub.init_fast_paths();
+  const std::vector<BigInt> cts = paillier_column(kp, state.range(0));
+  for (auto _ : state) {
+    bigint::Montgomery::Product product(*kp.pub.mont_n2);
+    for (const auto& ct : cts) product.multiply(ct);
+    benchmark::DoNotOptimize(product.result());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PaillierFold)->Arg(2000)->Unit(benchmark::kMicrosecond);
+
+void BM_PaillierFoldChained(benchmark::State& state) {
+  // The fold agg.sum ran before the product API: a context mul_mod per
+  // ciphertext, i.e. two CIOS passes plus two reductions of the operands.
+  phe::PaillierKeyPair kp = phe::paillier_generate(512);
+  kp.pub.init_fast_paths();
+  const std::vector<BigInt> cts = paillier_column(kp, state.range(0));
+  for (auto _ : state) {
+    BigInt acc(1);
+    for (const auto& ct : cts) acc = acc.mul_mod(ct, *kp.pub.mont_n2);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PaillierFoldChained)->Arg(2000)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierDecrypt(benchmark::State& state) {
   // CRT path (keygen retains p/q and initializes the residue system).

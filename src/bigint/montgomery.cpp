@@ -1,5 +1,8 @@
 #include "bigint/montgomery.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/status.hpp"
 
 namespace datablinder::bigint {
@@ -51,8 +54,20 @@ BigInt Montgomery::from_residue(const Limbs& a) const {
 // CIOS: interleaves multiplication by b with word-by-word Montgomery
 // reduction; t never grows beyond n_+2 limbs (Koç, Acar & Kaliski 1996).
 void Montgomery::cios(const Limbs& a, const Limbs& b, Limbs& out) const {
+  out.resize(n_);
+  cios(a.data(), b.data(), out.data());
+}
+
+void Montgomery::cios(const Limb* a, const Limb* b, Limb* out) const {
   const std::size_t n = n_;
-  Limbs t(n + 2, 0);
+  Limb stack_t[kStackLimbs];
+  Limbs heap_t;
+  Limb* t = stack_t;
+  if (n + 2 > kStackLimbs) {
+    heap_t.resize(n + 2);
+    t = heap_t.data();
+  }
+  std::fill(t, t + n + 2, Limb{0});
   for (std::size_t i = 0; i < n; ++i) {
     // t += a[i] * b
     const U128 ai = a[i];
@@ -93,7 +108,6 @@ void Montgomery::cios(const Limbs& a, const Limbs& b, Limbs& out) const {
       }
     }
   }
-  out.assign(n, 0);
   if (ge) {
     Limb borrow = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -153,6 +167,35 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
   one[0] = 1;
   cios(acc, one, tmp);  // leave the residue domain
   return from_residue(tmp);
+}
+
+Montgomery::Product::Product(const Montgomery& ctx)
+    : ctx_(ctx), acc_(ctx.n_, 0), factor_(ctx.n_, 0), next_(ctx.n_, 0) {
+  acc_[0] = 1;
+}
+
+void Montgomery::Product::multiply(const BigInt& factor) {
+  require(!factor.is_negative(), "Montgomery::Product: negative factor");
+  const Limbs* limbs = &factor.limbs_;
+  BigInt reduced;
+  if (limbs->size() > ctx_.n_) {
+    reduced = factor.mod(ctx_.modulus_);
+    limbs = &reduced.limbs_;
+  }
+  std::fill(std::copy(limbs->begin(), limbs->end(), factor_.begin()), factor_.end(), Limb{0});
+  ctx_.cios(acc_.data(), factor_.data(), next_.data());
+  acc_.swap(next_);
+  ++count_;
+}
+
+BigInt Montgomery::Product::result() const {
+  // acc = P * R^-k; one more pass against R^(k+1) mod m leaves P.
+  const BigInt r_mod_m = ctx_.from_residue(ctx_.one_mont_);
+  Limbs fix = ctx_.pow(r_mod_m, BigInt(count_ + 1)).limbs_;
+  fix.resize(ctx_.n_, 0);
+  Limbs out(ctx_.n_);
+  ctx_.cios(acc_.data(), fix.data(), out.data());
+  return ctx_.from_residue(out);
 }
 
 }  // namespace datablinder::bigint

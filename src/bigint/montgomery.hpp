@@ -11,7 +11,10 @@
 // Paillier encrypt/decrypt (mod n^2, and mod p^2/q^2 under CRT), the
 // and the Sophos RSA trapdoor permutation.
 // Callers hold one context per long-lived modulus; `BigInt::pow_mod`
-// builds a transient context for one-shot odd-modulus calls.
+// builds a transient context for one-shot odd-modulus calls. A long product
+// (the Paillier aggregate fold) runs through `Montgomery::Product`: one CIOS
+// pass per factor, with the R^-1 each pass leaves behind corrected once at
+// the end.
 //
 // The window ladder multiplies unconditionally by the table entry (the
 // zero digit multiplies by the Montgomery one), so the CIOS sequence per
@@ -27,6 +30,9 @@
 namespace datablinder::bigint {
 
 class Montgomery {
+  using Limb = BigInt::Limb;
+  using Limbs = std::vector<Limb>;
+
  public:
   /// Requires m odd and > 1; throws Error(kInvalidArgument) otherwise.
   /// (Even moduli cannot be Montgomery-reduced — callers keep the generic
@@ -42,16 +48,45 @@ class Montgomery {
   /// base^exp mod m — fixed 4-bit-window exponentiation. Requires exp >= 0.
   BigInt pow(const BigInt& base, const BigInt& exp) const;
 
- private:
-  using Limb = BigInt::Limb;
-  using Limbs = std::vector<Limb>;
+  /// Running product of many factors mod m. Each multiply() is one CIOS
+  /// pass, acc <- acc * f * R^-1, and result() multiplies by R^k once for
+  /// the k factors. CIOS keeps acc < m for any factor below R, so a factor
+  /// of at most limb_count() limbs needs no reduction, even when it is not
+  /// below m: a multiply neither divides nor allocates. A wider factor is
+  /// reduced first (one division). Holds a reference to the context.
+  class Product {
+   public:
+    explicit Product(const Montgomery& ctx);
 
+    /// Requires factor >= 0.
+    void multiply(const BigInt& factor);
+
+    /// Number of factors multiplied in so far.
+    std::uint64_t count() const noexcept { return count_; }
+
+    /// The product of every factor so far, mod m (1 for none).
+    BigInt result() const;
+
+   private:
+    const Montgomery& ctx_;
+    Limbs acc_;     // product * R^-count, below m
+    Limbs factor_;  // the current factor, zero-padded to n limbs
+    Limbs next_;
+    std::uint64_t count_ = 0;
+  };
+
+ private:
   /// Fixed-width (n_-limb) residue from a reduced BigInt.
   Limbs residue(const BigInt& a) const;
   BigInt from_residue(const Limbs& a) const;
 
-  /// out = (a * b * R^-1) mod m, all fixed n_-limb vectors.
+  /// out = (a * b * R^-1) mod m over n_-limb operands, for a < m and
+  /// b < R. `out` may alias either input; nothing is allocated for moduli
+  /// of up to kStackLimbs - 2 limbs.
+  void cios(const Limb* a, const Limb* b, Limb* out) const;
   void cios(const Limbs& a, const Limbs& b, Limbs& out) const;
+
+  static constexpr std::size_t kStackLimbs = 66;
 
   BigInt modulus_;
   Limbs mod_;       // modulus, exactly n_ limbs

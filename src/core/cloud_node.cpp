@@ -44,7 +44,7 @@ std::size_t CloudNode::storage_bytes() const {
   for (const auto& [scope, s] : mitra_sl_) {
     n += s->server.entries().storage_bytes() + s->server.counters().storage_bytes();
   }
-  for (const auto& [scope, s] : sophos_) n += s->dict().storage_bytes();
+  for (const auto& [scope, s] : sophos_) n += s->server.dict().storage_bytes();
   for (const auto& [scope, s] : iex_) n += s->server.dict().storage_bytes();
   for (const auto& [scope, s] : zmf_) n += s->server.storage_bytes();
   return n;
@@ -62,7 +62,7 @@ std::uint64_t CloudNode::state_digest() const {
                                                   s->server.counters().fingerprint());
   }
   for (const auto& [scope, s] : sophos_) {
-    digest += fnv1a(fnv1a(kFnvOffset, scope), s->dict().fingerprint());
+    digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.dict().fingerprint());
   }
   for (const auto& [scope, s] : iex_) {
     digest += fnv1a(fnv1a(kFnvOffset, scope), s->server.dict().fingerprint());
@@ -75,7 +75,7 @@ std::uint64_t CloudNode::state_digest() const {
     h = fnv1a(h, col.n.to_bytes());
     std::uint64_t cts = 0;
     for (const auto& [id, ct] : col.cts) {
-      cts += fnv1a(fnv1a(kFnvOffset, id), ct.to_bytes());
+      cts += fnv1a(fnv1a(kFnvOffset, id), ct->to_bytes());
     }
     digest += fnv1a(h, cts);
   }
@@ -95,6 +95,13 @@ CloudNode::SseScope<sse::MitraStatelessServer>& CloudNode::mitra_sl(
   auto& slot = mitra_sl_[scope];
   if (!slot) slot = std::make_unique<SseScope<sse::MitraStatelessServer>>();
   return *slot;
+}
+
+CloudNode::SseScope<sse::SophosServer>& CloudNode::sophos(const std::string& scope) {
+  std::lock_guard lock(sse_mutex_);
+  auto it = sophos_.find(scope);
+  if (it == sophos_.end()) throw_error(ErrorCode::kNotFound, "sophos: scope not set up");
+  return *it->second;
 }
 
 CloudNode::SseScope<sse::Iex2LevServer>& CloudNode::iex(const std::string& scope) {
@@ -357,9 +364,16 @@ void CloudNode::register_sophos_handlers() {
     params.n = BigInt::from_bytes(wire::get_bin(req, "n"));
     params.e = BigInt::from_bytes(wire::get_bin(req, "e"));
     params.init_context();  // one Montgomery context for every future search
-    std::lock_guard lock(sse_mutex_);
-    sophos_[wire::get_str(req, "scope")] =
-        std::make_unique<sse::SophosServer>(std::move(params));
+    SseScope<sse::SophosServer>* scope = nullptr;
+    {
+      std::lock_guard lock(sse_mutex_);
+      auto& slot = sophos_[wire::get_str(req, "scope")];
+      if (!slot) slot = std::make_unique<SseScope<sse::SophosServer>>(params);
+      scope = slot.get();
+    }
+    // (Re)set the server under the exclusive lock: a search in flight
+    // finishes on the server it started on, and the scope is never freed.
+    scope->write([&](auto& s) { s = sse::SophosServer(std::move(params)); });
     return wire::pack({});
   });
   rpc_.register_method("sophos.update", [this](BytesView p) {
@@ -367,12 +381,7 @@ void CloudNode::register_sophos_handlers() {
     sse::SophosUpdateToken token;
     token.ut = wire::get_bin(req, "ut");
     token.value = wire::get_bin(req, "value");
-    std::lock_guard lock(sse_mutex_);
-    auto it = sophos_.find(wire::get_str(req, "scope"));
-    if (it == sophos_.end()) {
-      throw_error(ErrorCode::kNotFound, "sophos: scope not set up");
-    }
-    it->second->apply_update(token);
+    sophos(wire::get_str(req, "scope")).write([&](auto& s) { s.apply_update(token); });
     ++index_ops_;
     return wire::pack({});
   });
@@ -382,15 +391,8 @@ void CloudNode::register_sophos_handlers() {
     token.kw_token = wire::get_bin(req, "kw_token");
     token.st_current = wire::get_bin(req, "st");
     token.count = static_cast<std::uint64_t>(wire::get_int(req, "count"));
-    std::vector<std::string> ids;
-    {
-      std::lock_guard lock(sse_mutex_);
-      auto it = sophos_.find(wire::get_str(req, "scope"));
-      if (it == sophos_.end()) {
-        throw_error(ErrorCode::kNotFound, "sophos: scope not set up");
-      }
-      ids = it->second->search(token);
-    }
+    const std::vector<std::string> ids =
+        sophos(wire::get_str(req, "scope")).read([&](auto& s) { return s.search(token); });
     index_ops_ += token.count;
     return wire::pack({{"ids", ids_to_value(ids)}});
   });
@@ -488,11 +490,13 @@ void CloudNode::register_agg_handlers() {
   });
   rpc_.register_method("agg.insert", [this](BytesView p) {
     const Object req = wire::unpack(p);
+    const BigInt ct = BigInt::from_bytes(wire::get_bin(req, "ct"));
     std::lock_guard lock(agg_mutex_);
     auto it = agg_.find(wire::get_str(req, "scope"));
     if (it == agg_.end()) throw_error(ErrorCode::kNotFound, "agg: scope not set up");
+    // Reduced once here, so every later fold step takes it as it is.
     it->second.cts[wire::get_str(req, "id")] =
-        BigInt::from_bytes(wire::get_bin(req, "ct"));
+        std::make_shared<const BigInt>(ct.mod(it->second.n_squared));
     ++index_ops_;
     return wire::pack({});
   });
@@ -507,16 +511,31 @@ void CloudNode::register_agg_handlers() {
   rpc_.register_method("agg.sum", [this](BytesView p) {
     // Homomorphic fold over the whole column (AggFunction, cloud side).
     const Object req = wire::unpack(p);
-    std::lock_guard lock(agg_mutex_);
-    auto it = agg_.find(wire::get_str(req, "scope"));
-    if (it == agg_.end()) throw_error(ErrorCode::kNotFound, "agg: scope not set up");
-    const AggColumn& col = it->second;
-    BigInt acc(1);  // multiplicative identity in Z_{n^2}: Enc-domain zero sum
-    std::uint64_t count = 0;
-    for (const auto& [id, ct] : col.cts) {
-      acc = col.mont_n2 ? acc.mul_mod(ct, *col.mont_n2) : acc.mul_mod(ct, col.n_squared);
-      ++count;
+    std::vector<std::shared_ptr<const BigInt>> cts;
+    std::shared_ptr<const bigint::Montgomery> mont_n2;
+    BigInt n_squared;
+    {
+      std::lock_guard lock(agg_mutex_);
+      auto it = agg_.find(wire::get_str(req, "scope"));
+      if (it == agg_.end()) throw_error(ErrorCode::kNotFound, "agg: scope not set up");
+      const AggColumn& col = it->second;
+      cts.reserve(col.cts.size());
+      for (const auto& [id, ct] : col.cts) cts.push_back(ct);
+      mont_n2 = col.mont_n2;
+      if (!mont_n2) n_squared = col.n_squared;
     }
+    // The fold runs on the snapshot, outside agg_mutex_: inserts and
+    // removes do not queue behind it.
+    BigInt acc(1);  // multiplicative identity in Z_{n^2}: Enc-domain zero sum
+    if (mont_n2) {
+      // One CIOS pass per ciphertext; no division or allocation per step.
+      bigint::Montgomery::Product product(*mont_n2);
+      for (const auto& ct : cts) product.multiply(*ct);
+      acc = product.result();
+    } else {
+      for (const auto& ct : cts) acc = acc.mul_mod(*ct, n_squared);
+    }
+    const std::uint64_t count = cts.size();
     index_ops_ += count;
     return wire::pack({{"sum_ct", Value(acc.to_bytes())},
                        {"count", Value(static_cast<std::int64_t>(count))}});

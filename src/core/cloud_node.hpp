@@ -17,6 +17,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "bigint/bigint.hpp"
 #include "bigint/montgomery.hpp"
@@ -96,6 +97,8 @@ class CloudNode {
   /// Finds or creates a scope under sse_mutex_. Scopes are never erased,
   /// so the reference stays valid after that lock is released.
   SseScope<sse::MitraServer>& mitra(const std::string& scope);
+  /// Sophos scopes are created by sophos.setup only; throws kNotFound.
+  SseScope<sse::SophosServer>& sophos(const std::string& scope);
   SseScope<sse::MitraStatelessServer>& mitra_sl(const std::string& scope);
   SseScope<sse::Iex2LevServer>& iex(const std::string& scope);
   SseScope<sse::IexZmfServer>& zmf(const std::string& scope,
@@ -105,11 +108,11 @@ class CloudNode {
   store::DocumentStore docs_;
   store::KvStore kv_;
 
-  std::mutex sse_mutex_;  // guards the scope maps; Sophos is serialized on it whole
+  std::mutex sse_mutex_;  // guards the scope maps, not the servers in them
   std::unordered_map<std::string, std::unique_ptr<SseScope<sse::MitraServer>>> mitra_;
   std::unordered_map<std::string, std::unique_ptr<SseScope<sse::MitraStatelessServer>>>
       mitra_sl_;
-  std::unordered_map<std::string, std::unique_ptr<sse::SophosServer>> sophos_;
+  std::unordered_map<std::string, std::unique_ptr<SseScope<sse::SophosServer>>> sophos_;
   std::unordered_map<std::string, std::unique_ptr<SseScope<sse::Iex2LevServer>>> iex_;
   std::unordered_map<std::string, std::unique_ptr<SseScope<sse::IexZmfServer>>> zmf_;
 
@@ -117,7 +120,9 @@ class CloudNode {
     bigint::BigInt n;          // Paillier public modulus
     bigint::BigInt n_squared;
     std::shared_ptr<const bigint::Montgomery> mont_n2;  // fold-loop context
-    std::unordered_map<std::string, bigint::BigInt> cts;  // doc id -> ciphertext
+    // doc id -> ciphertext mod n^2; shared so agg.sum can fold a snapshot
+    // without holding agg_mutex_.
+    std::unordered_map<std::string, std::shared_ptr<const bigint::BigInt>> cts;
   };
   std::unordered_map<std::string, AggColumn> agg_;
   std::mutex agg_mutex_;

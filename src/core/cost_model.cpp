@@ -11,8 +11,13 @@ const CostProfile& post_filter_cost_profile() {
   static const CostProfile p = [] {
     CostProfile c;
     // base: doc.list round trip + plan overhead; per_unit: one mget share +
-    // AES-GCM open (BENCH_crypto BM_AesGcmOpen ≈ 39.5us) + predicate per
-    // document in the collection.
+    // AES-GCM open + predicate per document in the collection. A 1 KiB open
+    // costs ~0.5us on the AES-NI/PCLMUL kernels and ~40us on the portable
+    // ones (BENCH_crypto BM_AesGcmOpen/1024, BM_AesGcmOpenPortable). The
+    // per-unit prior was calibrated on the portable kernels and is kept:
+    // it sets the ranking against the index-backed range tactics that
+    // bench_adaptive and policy_test pin, and live latencies replace it
+    // once recorded.
     c.ops[TacticOperation::kRangeQuery] = {CostShape::kLinear, 120.0, 55.0};
     return c;
   }();

@@ -42,8 +42,9 @@ class HotCache;
 inline constexpr const char* kPostFilterTactic = "PostFilter";
 
 /// Static prior for the post-filter shape: one doc.list round trip, then
-/// every document fetched, AEAD-opened (~40us each, BENCH_crypto
-/// BM_AesGcmOpen) and predicate-checked at the gateway. Linear in n and
+/// every document fetched, AEAD-opened (~0.5us per KiB on AES-NI/PCLMUL,
+/// ~40us on the portable kernels; BENCH_crypto BM_AesGcmOpen/1024) and
+/// predicate-checked at the gateway. Linear in n and
 /// indifferent to selectivity — the whole collection travels.
 const CostProfile& post_filter_cost_profile();
 

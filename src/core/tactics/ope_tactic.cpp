@@ -32,7 +32,10 @@ const TacticDescriptor& OpeTactic::static_descriptor() {
     t.preference = 10;  // index-backed scans beat ORE's linear compare
     // Calibration: OPE encrypt is one AES-SIV pass (~10us, BENCH_crypto
     // BM_OpeEncrypt); per-result work is an mget share + AES-GCM open
-    // (~45us, BM_AesGcmOpen).
+    // (~0.5us per KiB on AES-NI/PCLMUL, ~40us on the portable kernels,
+    // BM_AesGcmOpen/1024). The 45us per-result prior dates from the
+    // portable kernels; it is kept so the selection order the priors encode
+    // (pinned by bench_adaptive and policy_test) does not depend on the CPU.
     t.cost.ops = {
         {TacticOperation::kInsert, {CostShape::kLogN, 25.0, 1.5}},
         {TacticOperation::kDelete, {CostShape::kLogN, 25.0, 1.5}},

@@ -3,34 +3,11 @@
 #include <cstring>
 
 #include "common/status.hpp"
+#include "crypto/aes_kernels.hpp"
 
 namespace datablinder::crypto {
 
 namespace {
-
-constexpr std::uint8_t kSbox[256] = {
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
-    0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
-    0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
-    0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2,
-    0xeb, 0x27, 0xb2, 0x75, 0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0,
-    0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84, 0x53, 0xd1, 0x00, 0xed,
-    0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f,
-    0x50, 0x3c, 0x9f, 0xa8, 0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5,
-    0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2, 0xcd, 0x0c, 0x13, 0xec,
-    0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14,
-    0xde, 0x5e, 0x0b, 0xdb, 0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c,
-    0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79, 0xe7, 0xc8, 0x37, 0x6d,
-    0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f,
-    0x4b, 0xbd, 0x8b, 0x8a, 0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e,
-    0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e, 0xe1, 0xf8, 0x98, 0x11,
-    0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f,
-    0xb0, 0x54, 0xbb, 0x16};
 
 constexpr std::uint8_t kInvSbox[256] = {
     0x52, 0x09, 0x6a, 0xd5, 0x30, 0x36, 0xa5, 0x38, 0xbf, 0x40, 0xa3, 0x9e,
@@ -72,13 +49,15 @@ inline std::uint8_t gmul(std::uint8_t a, std::uint8_t b) {
 
 }  // namespace
 
-Aes::Aes(BytesView key) {
+Aes::Aes(BytesView key) : Aes(key, detail::active_kernels()) {}
+
+Aes::Aes(const SecretBytes& key) : Aes(key.expose_secret()) {}
+
+Aes::Aes(BytesView key, const detail::AesKernels& kernels) : kernels_(&kernels) {
   require(key.size() == 16 || key.size() == 24 || key.size() == 32,
           "Aes: key must be 16, 24 or 32 bytes");
   expand_key(key);
 }
-
-Aes::Aes(const SecretBytes& key) : Aes(key.expose_secret()) {}
 
 void Aes::expand_key(BytesView key) {
   const std::size_t nk = key.size() / 4;           // key length in words
@@ -89,64 +68,38 @@ void Aes::expand_key(BytesView key) {
   for (std::size_t i = 0; i < nk; ++i) {
     for (std::size_t j = 0; j < 4; ++j) w[i][j] = key[4 * i + j];
   }
+  auto sub_word = [this](std::uint8_t word[4]) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, word, 4);
+    v = kernels_->sub_word(v);
+    std::memcpy(word, &v, 4);
+  };
   std::uint8_t rcon = 0x01;
   for (std::size_t i = nk; i < total_words; ++i) {
     std::uint8_t temp[4] = {w[i - 1][0], w[i - 1][1], w[i - 1][2], w[i - 1][3]};
     if (i % nk == 0) {
       // RotWord + SubWord + Rcon
       const std::uint8_t t = temp[0];
-      temp[0] = static_cast<std::uint8_t>(kSbox[temp[1]] ^ rcon);
-      temp[1] = kSbox[temp[2]];
-      temp[2] = kSbox[temp[3]];
-      temp[3] = kSbox[t];
+      temp[0] = temp[1];
+      temp[1] = temp[2];
+      temp[2] = temp[3];
+      temp[3] = t;
+      sub_word(temp);
+      temp[0] ^= rcon;
       rcon = xtime(rcon);
     } else if (nk > 6 && i % nk == 4) {
-      for (auto& t : temp) t = kSbox[t];
+      sub_word(temp);
     }
     for (std::size_t j = 0; j < 4; ++j) w[i][j] = w[i - nk][j] ^ temp[j];
   }
   for (std::size_t i = 0; i < total_words; ++i) {
     std::memcpy(&round_keys_[4 * i], w[i], 4);
   }
+  secure_wipe({&w[0][0], sizeof(w)});
 }
 
-void Aes::encrypt_block(std::uint8_t s[kBlockSize]) const {
-  auto add_round_key = [&](std::size_t round) {
-    for (std::size_t i = 0; i < kBlockSize; ++i) s[i] ^= round_keys_[round * 16 + i];
-  };
-  auto sub_bytes = [&] {
-    for (std::size_t i = 0; i < kBlockSize; ++i) s[i] = kSbox[s[i]];
-  };
-  auto shift_rows = [&] {
-    std::uint8_t t;
-    // Row 1 rotate left by 1; state is column-major: s[row + 4*col].
-    t = s[1]; s[1] = s[5]; s[5] = s[9]; s[9] = s[13]; s[13] = t;
-    // Row 2 rotate by 2.
-    std::swap(s[2], s[10]); std::swap(s[6], s[14]);
-    // Row 3 rotate left by 3 (== right by 1).
-    t = s[15]; s[15] = s[11]; s[11] = s[7]; s[7] = s[3]; s[3] = t;
-  };
-  auto mix_columns = [&] {
-    for (std::size_t c = 0; c < 4; ++c) {
-      std::uint8_t* col = s + 4 * c;
-      const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-      col[0] = static_cast<std::uint8_t>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-      col[1] = static_cast<std::uint8_t>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-      col[2] = static_cast<std::uint8_t>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-      col[3] = static_cast<std::uint8_t>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-    }
-  };
-
-  add_round_key(0);
-  for (std::size_t round = 1; round < rounds_; ++round) {
-    sub_bytes();
-    shift_rows();
-    mix_columns();
-    add_round_key(round);
-  }
-  sub_bytes();
-  shift_rows();
-  add_round_key(rounds_);
+void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
+  kernels_->encrypt_block(round_keys_.data(), rounds_, block);
 }
 
 void Aes::decrypt_block(std::uint8_t s[kBlockSize]) const {

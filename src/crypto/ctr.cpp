@@ -1,26 +1,13 @@
 #include "crypto/ctr.hpp"
 
-namespace datablinder::crypto {
+#include "crypto/aes_kernels.hpp"
 
-namespace {
-void increment_counter(std::array<std::uint8_t, Aes::kBlockSize>& counter) {
-  for (int i = Aes::kBlockSize - 1; i >= 0; --i) {
-    if (++counter[static_cast<std::size_t>(i)] != 0) break;
-  }
-}
-}  // namespace
+namespace datablinder::crypto {
 
 void aes_ctr_xcrypt(const Aes& aes, std::array<std::uint8_t, Aes::kBlockSize> counter,
                     std::span<std::uint8_t> data) {
-  std::size_t offset = 0;
-  while (offset < data.size()) {
-    auto keystream = counter;
-    aes.encrypt_block(keystream.data());
-    const std::size_t take = std::min(data.size() - offset, Aes::kBlockSize);
-    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
-    offset += take;
-    increment_counter(counter);
-  }
+  aes.kernels_->ctr_xcrypt(aes.round_keys_.data(), aes.rounds_, counter.data(), data.data(),
+                           data.size());
 }
 
 Bytes aes_ctr(const Aes& aes, const std::array<std::uint8_t, Aes::kBlockSize>& counter0,

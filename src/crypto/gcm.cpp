@@ -10,140 +10,90 @@ namespace datablinder::crypto {
 
 namespace {
 
-struct U128 {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-};
-
-U128 load128(const std::uint8_t* p) {
-  U128 v;
-  for (int i = 0; i < 8; ++i) v.hi = (v.hi << 8) | p[i];
-  for (int i = 8; i < 16; ++i) v.lo = (v.lo << 8) | p[i];
-  return v;
+/// J0 = nonce || 0^31 || 1 for 96-bit nonces; the payload's CTR starts at
+/// inc32(J0).
+std::array<std::uint8_t, 16> initial_counter(BytesView nonce, std::uint8_t last) {
+  std::array<std::uint8_t, 16> j{};
+  std::memcpy(j.data(), nonce.data(), AesGcm::kNonceSize);
+  j[15] = last;
+  return j;
 }
 
-void store128(const U128& v, std::uint8_t* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v.hi >> (8 * (7 - i)));
-  for (int i = 0; i < 8; ++i) p[8 + i] = static_cast<std::uint8_t>(v.lo >> (8 * (7 - i)));
-}
-
-// GF(2^128) multiplication per SP 800-38D, bitwise (right-shift) variant.
-U128 gf_mul(const U128& x, const U128& y) {
-  U128 z;             // accumulator
-  U128 v = y;
-  for (int i = 0; i < 128; ++i) {
-    const std::uint64_t bit =
-        (i < 64) ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const bool lsb = v.lo & 1;
-    v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb) v.hi ^= 0xe100000000000000ULL;  // reduction polynomial R
-  }
-  return z;
+void store_be64(std::uint64_t v, std::uint8_t* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
 }
 
 }  // namespace
 
-AesGcm::AesGcm(BytesView key) : aes_(key) {
-  std::uint8_t h[Aes::kBlockSize] = {0};
-  aes_.encrypt_block(h);
-  const U128 hv = load128(h);
-  h_hi_ = hv.hi;
-  h_lo_ = hv.lo;
-  secure_wipe(h);
-}
+AesGcm::AesGcm(BytesView key) : AesGcm(key, detail::active_kernels()) {}
 
 AesGcm::AesGcm(const SecretBytes& key) : AesGcm(key.expose_secret()) {}
 
-Bytes AesGcm::ghash(BytesView aad, BytesView ciphertext) const {
-  const U128 h{h_hi_, h_lo_};
-  U128 y;
+AesGcm::AesGcm(BytesView key, const detail::AesKernels& kernels) : aes_(key, kernels) {
+  std::uint8_t h[Aes::kBlockSize] = {0};
+  aes_.encrypt_block(h);
+  kernels.ghash_init(h, ghash_key_);
+  secure_wipe(h);
+}
+
+void AesGcm::compute_tag(BytesView nonce, BytesView aad, BytesView ciphertext,
+                         std::uint8_t tag[kTagSize]) const {
+  const detail::AesKernels& k = aes_.kernels();
+  std::uint8_t y[16] = {0};
   auto absorb = [&](BytesView data) {
-    std::size_t offset = 0;
-    while (offset < data.size()) {
+    const std::size_t full = data.size() / 16;
+    if (full > 0) k.ghash_blocks(ghash_key_, y, data.data(), full);
+    if (const std::size_t rest = data.size() % 16; rest > 0) {
       std::uint8_t block[16] = {0};
-      const std::size_t take = std::min<std::size_t>(16, data.size() - offset);
-      std::memcpy(block, data.data() + offset, take);
-      const U128 b = load128(block);
-      y.hi ^= b.hi;
-      y.lo ^= b.lo;
-      y = gf_mul(y, h);
-      offset += take;
+      std::memcpy(block, data.data() + 16 * full, rest);
+      k.ghash_blocks(ghash_key_, y, block, 1);
     }
   };
   absorb(aad);
   absorb(ciphertext);
   // Length block: 64-bit bit-lengths of AAD and ciphertext.
-  std::uint8_t len_block[16];
-  const U128 lens{static_cast<std::uint64_t>(aad.size()) * 8,
-                  static_cast<std::uint64_t>(ciphertext.size()) * 8};
-  store128(lens, len_block);
-  const U128 lb = load128(len_block);
-  y.hi ^= lb.hi;
-  y.lo ^= lb.lo;
-  y = gf_mul(y, h);
+  std::uint8_t len_block[16] = {};
+  store_be64(static_cast<std::uint64_t>(aad.size()) * 8, len_block);
+  store_be64(static_cast<std::uint64_t>(ciphertext.size()) * 8, len_block + 8);
+  k.ghash_blocks(ghash_key_, y, len_block, 1);
 
-  Bytes out(16);
-  store128(y, out.data());
-  return out;
+  auto ek_j0 = initial_counter(nonce, 1);
+  aes_.encrypt_block(ek_j0.data());
+  for (std::size_t i = 0; i < kTagSize; ++i) tag[i] = y[i] ^ ek_j0[i];
+}
+
+void AesGcm::seal_into(BytesView nonce, BytesView plaintext, BytesView aad,
+                       std::uint8_t* out) const {
+  require(nonce.size() == kNonceSize, "AesGcm: nonce must be 12 bytes");
+  if (!plaintext.empty()) std::memcpy(out, plaintext.data(), plaintext.size());
+  aes_ctr_xcrypt(aes_, initial_counter(nonce, 2), {out, plaintext.size()});
+  compute_tag(nonce, aad, {out, plaintext.size()}, out + plaintext.size());
 }
 
 Bytes AesGcm::seal(BytesView nonce, BytesView plaintext, BytesView aad) const {
-  require(nonce.size() == kNonceSize, "AesGcm: nonce must be 12 bytes");
-
-  // J0 = nonce || 0^31 || 1 for 96-bit nonces.
-  std::array<std::uint8_t, 16> j0{};
-  std::memcpy(j0.data(), nonce.data(), kNonceSize);
-  j0[15] = 1;
-
-  auto counter = j0;
-  counter[15] = 2;  // CTR starts at inc32(J0)
-  Bytes ciphertext = aes_ctr(aes_, counter, plaintext);
-
-  Bytes s = ghash(aad, ciphertext);
-  std::uint8_t ek_j0[16];
-  std::memcpy(ek_j0, j0.data(), 16);
-  aes_.encrypt_block(ek_j0);
-  for (std::size_t i = 0; i < kTagSize; ++i) s[i] ^= ek_j0[i];
-
-  append(ciphertext, s);
-  return ciphertext;
+  Bytes out(plaintext.size() + kTagSize);
+  seal_into(nonce, plaintext, aad, out.data());
+  return out;
 }
 
 Bytes AesGcm::seal_random_nonce(BytesView plaintext, BytesView aad) const {
-  Bytes nonce = SecureRng::bytes(kNonceSize);
-  Bytes sealed = seal(nonce, plaintext, aad);
-  Bytes out;
-  out.reserve(nonce.size() + sealed.size());
-  append(out, nonce);
-  append(out, sealed);
+  Bytes out(kNonceSize + plaintext.size() + kTagSize);
+  SecureRng::fill({out.data(), kNonceSize});
+  seal_into(BytesView(out).first(kNonceSize), plaintext, aad, out.data() + kNonceSize);
   return out;
 }
 
 std::optional<Bytes> AesGcm::open(BytesView nonce, BytesView sealed, BytesView aad) const {
   if (nonce.size() != kNonceSize || sealed.size() < kTagSize) return std::nullopt;
   const BytesView ciphertext = sealed.first(sealed.size() - kTagSize);
-  const BytesView tag = sealed.last(kTagSize);
 
-  std::array<std::uint8_t, 16> j0{};
-  std::memcpy(j0.data(), nonce.data(), kNonceSize);
-  j0[15] = 1;
+  std::uint8_t tag[kTagSize] = {};
+  compute_tag(nonce, aad, ciphertext, tag);
+  if (!ct_equal(BytesView(tag, kTagSize), sealed.last(kTagSize))) return std::nullopt;
 
-  Bytes s = ghash(aad, ciphertext);
-  std::uint8_t ek_j0[16];
-  std::memcpy(ek_j0, j0.data(), 16);
-  aes_.encrypt_block(ek_j0);
-  for (std::size_t i = 0; i < kTagSize; ++i) s[i] ^= ek_j0[i];
-
-  if (!ct_equal(s, tag)) return std::nullopt;
-
-  auto counter = j0;
-  counter[15] = 2;
-  return aes_ctr(aes_, counter, ciphertext);
+  Bytes plaintext(ciphertext.begin(), ciphertext.end());
+  aes_ctr_xcrypt(aes_, initial_counter(nonce, 2), plaintext);
+  return plaintext;
 }
 
 std::optional<Bytes> AesGcm::open_with_nonce(BytesView sealed, BytesView aad) const {

@@ -8,11 +8,15 @@
 
 namespace datablinder::crypto {
 
-AesSiv::AesSiv(BytesView key) {
+namespace {
+BytesView checked_key(BytesView key) {
   require(key.size() == 32, "AesSiv: key must be 32 bytes");
-  mac_key_ = SecretBytes::from_view(key.first(16));
-  enc_key_ = SecretBytes::from_view(key.subspan(16));
+  return key;
 }
+}  // namespace
+
+AesSiv::AesSiv(BytesView key)
+    : mac_key_(SecretBytes::from_view(checked_key(key).first(16))), ctr_(key.subspan(16)) {}
 
 AesSiv::AesSiv(const SecretBytes& key) : AesSiv(key.expose_secret()) {}
 
@@ -37,9 +41,8 @@ Bytes AesSiv::seal(BytesView plaintext, BytesView aad) const {
   counter[8] &= 0x7f;
   counter[12] &= 0x7f;
 
-  const Aes aes(enc_key_);
   Bytes out = siv;
-  append(out, aes_ctr(aes, counter, plaintext));
+  append(out, aes_ctr(ctr_, counter, plaintext));
   return out;
 }
 
@@ -53,8 +56,7 @@ std::optional<Bytes> AesSiv::open(BytesView sealed, BytesView aad) const {
   counter[8] &= 0x7f;
   counter[12] &= 0x7f;
 
-  const Aes aes(enc_key_);
-  Bytes plaintext = aes_ctr(aes, counter, ciphertext);
+  Bytes plaintext = aes_ctr(ctr_, counter, ciphertext);
 
   if (!ct_equal(compute_siv(plaintext, aad), siv)) return std::nullopt;
   return plaintext;

@@ -10,6 +10,7 @@
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/aes.hpp"
 
 namespace datablinder::crypto {
 
@@ -31,7 +32,7 @@ class AesSiv {
   Bytes compute_siv(BytesView plaintext, BytesView aad) const;
 
   SecretBytes mac_key_;
-  SecretBytes enc_key_;
+  Aes ctr_;  // expanded CTR-half schedule, wiped by ~Aes
 };
 
 }  // namespace datablinder::crypto

@@ -40,7 +40,7 @@ std::vector<Bytes> MitraStatelessServer::search(const MitraSearchToken& token) c
 
 MitraStatelessClient::MitraStatelessClient(BytesView key)
     : key_(key),
-      counter_key_(crypto::prf_labeled(key, "mitra-sl-counter", {})) {
+      counter_cipher_(SecretBytes(crypto::prf_labeled(key, "mitra-sl-counter", {}))) {
   require(!key.empty(), "MitraStatelessClient: empty key");
 }
 
@@ -54,8 +54,7 @@ Bytes MitraStatelessClient::counter_label(const std::string& keyword) const {
 std::uint64_t MitraStatelessClient::decode_counter(
     const std::string& keyword, const std::optional<Bytes>& blob) const {
   if (!blob) return 0;
-  const crypto::AesGcm gcm(counter_key_);
-  auto plain = gcm.open_with_nonce(*blob, to_bytes(keyword));
+  auto plain = counter_cipher_.open_with_nonce(*blob, to_bytes(keyword));
   if (!plain || plain->size() != 8) {
     throw_error(ErrorCode::kCryptoFailure, "mitra-stateless: bad counter blob");
   }
@@ -65,8 +64,7 @@ std::uint64_t MitraStatelessClient::decode_counter(
 Bytes MitraStatelessClient::encode_counter(const std::string& keyword,
                                            std::uint64_t count) const {
   // Probabilistic: re-encryptions of the same count are unlinkable.
-  const crypto::AesGcm gcm(counter_key_);
-  return gcm.seal_random_nonce(be64(count), to_bytes(keyword));
+  return counter_cipher_.seal_random_nonce(be64(count), to_bytes(keyword));
 }
 
 MitraUpdateToken MitraStatelessClient::update(MitraOp op, const std::string& keyword,

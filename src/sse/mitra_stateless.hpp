@@ -26,6 +26,7 @@
 
 #include "common/bytes.hpp"
 #include "common/secret.hpp"
+#include "crypto/gcm.hpp"
 #include "crypto/prf.hpp"
 #include "sse/index_common.hpp"
 #include "sse/mitra.hpp"
@@ -82,7 +83,7 @@ class MitraStatelessClient {
 
  private:
   crypto::PrfKey key_;  // hoisted HMAC schedule
-  SecretBytes counter_key_;
+  crypto::AesGcm counter_cipher_;  // hoisted key schedule and GHASH subkey
 };
 
 }  // namespace datablinder::sse

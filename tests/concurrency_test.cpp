@@ -3,19 +3,24 @@
 // stores behave under contention.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "bigint/bigint.hpp"
+#include "common/rng.hpp"
 #include "core/cloud_node.hpp"
 #include "core/gateway.hpp"
 #include "core/hot_cache.hpp"
+#include "core/wire.hpp"
 #include "core/tactics/builtin.hpp"
 #include "fhir/observation.hpp"
 #include "net/resilience.hpp"
+#include "sse/sophos.hpp"
 #include "store/kvstore.hpp"
 
 namespace datablinder {
@@ -215,6 +220,113 @@ TEST(ConcurrencyTest, ParallelSearchesDuringWrites) {
   stop = true;
   reader.join();
   EXPECT_EQ(search_errors.load(), 0);
+}
+
+// --- cloud-side Sophos scope ---------------------------------------------------
+//
+// A Sophos search walks its RSA chain under the scope's own shared lock, not
+// the node-wide scope-map mutex: other SSE scopes stay writable meanwhile,
+// and a re-setup of the scope waits for the walk instead of freeing it.
+
+struct SophosRig {
+  SophosRig() : rpc(cloud.rpc(), channel), client(Bytes(32, 7), 512) {
+    const sse::SophosPublicParams params = client.public_params();
+    rpc.call("sophos.setup", core::wire::pack({{"scope", Value("s")},
+                                               {"n", Value(params.n.to_bytes())},
+                                               {"e", Value(params.e.to_bytes())}}));
+    for (const char* id : {"d1", "d2", "d3"}) {
+      const sse::SophosUpdateToken t = client.update("kw", id);
+      rpc.call("sophos.update", core::wire::pack({{"scope", Value("s")},
+                                                  {"ut", Value(t.ut)},
+                                                  {"value", Value(t.value)}}));
+    }
+  }
+
+  /// Walks `steps` chain links; only the first three hold entries.
+  std::size_t search(std::uint64_t steps) {
+    const sse::SophosSearchToken token = *client.search_token("kw");
+    const Bytes reply = rpc.call(
+        "sophos.search",
+        core::wire::pack({{"scope", Value("s")},
+                          {"kw_token", Value(token.kw_token)},
+                          {"st", Value(token.st_current)},
+                          {"count", Value(static_cast<std::int64_t>(steps))}}));
+    return core::wire::get_arr(core::wire::unpack(reply), "ids").size();
+  }
+
+  /// A step count whose walk takes about `target` on this build.
+  std::uint64_t steps_for(std::chrono::milliseconds target) {
+    constexpr std::uint64_t kProbe = 500;
+    const auto start = std::chrono::steady_clock::now();
+    search(kProbe);
+    const auto took = std::chrono::duration<double>(std::chrono::steady_clock::now() - start);
+    const double per_step = std::max(took.count() / kProbe, 1e-7);
+    return static_cast<std::uint64_t>(std::chrono::duration<double>(target).count() / per_step);
+  }
+
+  core::CloudNode cloud;
+  net::Channel channel;
+  net::RpcClient rpc;
+  sse::SophosClient client;
+};
+
+TEST(ConcurrencyTest, LongSophosSearchDoesNotBlockMitraUpdates) {
+  SophosRig rig;
+  const std::uint64_t steps = rig.steps_for(std::chrono::milliseconds(400));
+
+  std::atomic<bool> searching{false};
+  std::atomic<bool> search_done{false};
+  std::size_t found = 0;
+  std::thread searcher([&] {
+    searching = true;
+    found = rig.search(steps);
+    search_done = true;
+  });
+  while (!searching.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  DetRng rng(11);
+  std::vector<Bytes> addresses;
+  for (int i = 0; i < 20; ++i) {
+    addresses.push_back(rng.bytes(32));
+    rig.rpc.call("mitra.update", core::wire::pack({{"scope", Value("m")},
+                                                   {"address", Value(addresses.back())},
+                                                   {"value", Value(rng.bytes(16))}}));
+  }
+  const bool updates_overlapped = !search_done.load();
+  searcher.join();
+
+  EXPECT_TRUE(updates_overlapped) << "Mitra updates waited for the Sophos walk";
+  EXPECT_EQ(found, 3u);
+  doc::Array wanted;
+  for (const auto& a : addresses) wanted.emplace_back(a);
+  const Bytes reply = rig.rpc.call(
+      "mitra.search",
+      core::wire::pack({{"scope", Value("m")}, {"addresses", Value(std::move(wanted))}}));
+  EXPECT_EQ(core::wire::get_arr(core::wire::unpack(reply), "values").size(), addresses.size());
+}
+
+TEST(ConcurrencyTest, SophosResetupWaitsForSearchInFlight) {
+  SophosRig rig;
+  const std::uint64_t steps = rig.steps_for(std::chrono::milliseconds(200));
+
+  std::atomic<bool> searching{false};
+  std::size_t found = 0;
+  std::thread searcher([&] {
+    searching = true;
+    found = rig.search(steps);
+  });
+  while (!searching.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Same public parameters, fresh (empty) dictionary.
+  const sse::SophosPublicParams params = rig.client.public_params();
+  rig.rpc.call("sophos.setup", core::wire::pack({{"scope", Value("s")},
+                                                 {"n", Value(params.n.to_bytes())},
+                                                 {"e", Value(params.e.to_bytes())}}));
+  searcher.join();
+
+  EXPECT_EQ(found, 3u);          // the walk finished on the server it started on
+  EXPECT_EQ(rig.search(10), 0u);  // later searches see the re-set scope
 }
 
 // --- per-tactic locking: proof of actual parallelism -------------------------

@@ -1,10 +1,16 @@
 // Known-answer and behavioural tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/status.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/aes_kernels.hpp"
 #include "crypto/ctr.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/hkdf.hpp"
@@ -15,6 +21,14 @@
 
 namespace datablinder::crypto {
 namespace {
+
+/// Every kernel set this CPU can run: the portable reference always, the
+/// hardware set where CPUID reports it.
+std::vector<const detail::AesKernels*> kernel_sets() {
+  std::vector<const detail::AesKernels*> sets = {&detail::portable_kernels()};
+  if (const detail::AesKernels* hw = detail::hardware_kernels()) sets.push_back(hw);
+  return sets;
+}
 
 TEST(Sha256Test, Fips180KnownAnswers) {
   EXPECT_EQ(hex_encode(Sha256::digest(to_bytes("abc"))),
@@ -91,27 +105,39 @@ TEST(HkdfTest, Rfc5869TestCase1) {
 }
 
 TEST(AesTest, Fips197KnownAnswers) {
-  const Bytes pt = hex_decode("00112233445566778899aabbccddeeff");
   struct Case {
     const char* key;
+    const char* pt;
     const char* ct;
   };
   const Case cases[] = {
-      {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+      // Appendix B (cipher example).
+      {"2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+       "3925841d02dc09fbdc118597196a0b32"},
+      // Appendix C.1-C.3.
+      {"000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+       "69c4e0d86a7b0430d8cdb78070b4c55a"},
       {"000102030405060708090a0b0c0d0e0f1011121314151617",
-       "dda97ca4864cdfe06eaf70a0ec0d7191"},
+       "00112233445566778899aabbccddeeff", "dda97ca4864cdfe06eaf70a0ec0d7191"},
       {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
-       "8ea2b7ca516745bfeafc49904b496089"},
+       "00112233445566778899aabbccddeeff", "8ea2b7ca516745bfeafc49904b496089"},
   };
-  for (const auto& c : cases) {
-    Aes aes(hex_decode(c.key));
-    std::uint8_t block[16];
-    std::copy(pt.begin(), pt.end(), block);
-    aes.encrypt_block(block);
-    EXPECT_EQ(hex_encode(Bytes(block, block + 16)), c.ct);
-    aes.decrypt_block(block);
-    EXPECT_EQ(Bytes(block, block + 16), pt);
+  for (const detail::AesKernels* k : kernel_sets()) {
+    for (const auto& c : cases) {
+      const Aes aes(hex_decode(c.key), *k);
+      Bytes block = hex_decode(c.pt);
+      aes.encrypt_block(block.data());
+      EXPECT_EQ(hex_encode(block), c.ct) << k->name << " key " << c.key;
+      aes.decrypt_block(block.data());
+      EXPECT_EQ(hex_encode(block), c.pt) << k->name << " key " << c.key;
+    }
   }
+}
+
+TEST(AesTest, PublicClassBindsTheCpuidChoice) {
+  const detail::AesKernels* hw = detail::hardware_kernels();
+  EXPECT_EQ(&Aes(Bytes(16, 1)).kernels(), hw != nullptr ? hw : &detail::portable_kernels());
+  EXPECT_EQ(&detail::active_kernels(), &Aes(Bytes(16, 1)).kernels());
 }
 
 TEST(AesTest, RejectsBadKeySizes) {
@@ -129,29 +155,78 @@ TEST(CtrTest, RoundTripAndSeekConsistency) {
   EXPECT_EQ(aes_ctr(aes, counter, ct), pt);
 }
 
-TEST(GcmTest, NistCaseWithAad) {
-  AesGcm g(hex_decode("feffe9928665731c6d6a8f9467308308"));
-  const Bytes iv = hex_decode("cafebabefacedbaddecaf888");
+TEST(CtrTest, Sp80038aCtrAes128OnEveryKernelSet) {
+  // SP 800-38A F.5.1: four blocks from counter f0f1...feff.
   const Bytes pt = hex_decode(
-      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
-  const Bytes aad = hex_decode("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-  const Bytes sealed = g.seal(iv, pt, aad);
-  EXPECT_EQ(hex_encode(Bytes(sealed.begin(), sealed.end() - 16)),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
-            "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
-  EXPECT_EQ(hex_encode(Bytes(sealed.end() - 16, sealed.end())),
-            "5bc94fbc3221a5db94fae95ae7121a47");
-  const auto opened = g.open(iv, sealed, aad);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, pt);
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  std::array<std::uint8_t, 16> counter{};
+  const Bytes c0 = hex_decode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  std::copy(c0.begin(), c0.end(), counter.begin());
+  for (const detail::AesKernels* k : kernel_sets()) {
+    const Aes aes(hex_decode("2b7e151628aed2a6abf7158809cf4f3c"), *k);
+    EXPECT_EQ(hex_encode(aes_ctr(aes, counter, pt)),
+              "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
+              "5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee")
+        << k->name;
+  }
 }
 
-TEST(GcmTest, EmptyPlaintextKnownTag) {
-  AesGcm g(Bytes(16, 0));
-  const Bytes iv(12, 0);
-  const Bytes sealed = g.seal(iv, {});
-  EXPECT_EQ(hex_encode(sealed), "58e2fccefa7e3061367f1d57a4e7455a");
+TEST(GcmTest, Sp80038dVectorsOnEveryKernelSet) {
+  // The GCM specification's test cases (McGrew & Viega, as adopted by
+  // SP 800-38D validation) plus one CAVP AAD-only vector.
+  const char* p64 =
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+  const std::string p60 = std::string(p64).substr(0, 120);
+  const char* k128 = "feffe9928665731c6d6a8f9467308308";
+  const char* k192 = "feffe9928665731c6d6a8f9467308308feffe9928665731c";
+  const char* k256 = "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308";
+  const char* iv = "cafebabefacedbaddecaf888";
+  const char* aad = "feedfacedeadbeeffeedfacedeadbeefabaddad2";
+  struct Case {
+    const char* what;
+    std::string key, nonce, pt, aad, ct, tag;
+  };
+  const Case cases[] = {
+      {"empty input, 128", std::string(32, '0'), std::string(24, '0'), "", "", "",
+       "58e2fccefa7e3061367f1d57a4e7455a"},
+      {"one block, 128", std::string(32, '0'), std::string(24, '0'), std::string(32, '0'), "",
+       "0388dace60b6a392f328c2b971b2fe78", "ab6e47d42cec13bdf53a67b21257bddf"},
+      {"multi-block, 128", k128, iv, p64, "",
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+       "4d5c2af327cd64a62cf35abd2ba6fab4"},
+      {"partial final block with AAD, 128", k128, iv, p60, aad,
+       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+       "5bc94fbc3221a5db94fae95ae7121a47"},
+      {"AAD only, 128", "77be63708971c4e240d1cb79e8d77feb", "e0e00f19fed7ba0136a797f3", "",
+       "7a43ec1d9c0a5a78a0b16533a6213cab", "", "209fcc8d3675ed938e9c7166709dd946"},
+      {"empty input, 192", std::string(48, '0'), std::string(24, '0'), "", "", "",
+       "cd33b28ac773f74ba00ed1f312572435"},
+      {"multi-block, 192", k192, iv, p64, "",
+       "3980ca0b3c00e841eb06fac4872a2757859e1ceaa6efd984628593b40ca1e19c"
+       "7d773d00c144c525ac619d18c84a3f4718e2448b2fe324d9ccda2710acade256",
+       "9924a7c8587336bfb118024db8674a14"},
+      {"one block, 256", std::string(64, '0'), std::string(24, '0'), std::string(32, '0'), "",
+       "cea7403d4d606b6e074ec5d3baf39d18", "d0d1c8a799996bf0265b98b5d48ab919"},
+      {"partial final block with AAD, 256", k256, iv, p60, aad,
+       "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+       "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+       "76fc6ece0f4e1768cddf8853bb2d551b"},
+  };
+  for (const detail::AesKernels* k : kernel_sets()) {
+    for (const auto& c : cases) {
+      const AesGcm g(hex_decode(c.key), *k);
+      const Bytes nonce = hex_decode(c.nonce);
+      const Bytes sealed = g.seal(nonce, hex_decode(c.pt), hex_decode(c.aad));
+      EXPECT_EQ(hex_encode(sealed), c.ct + c.tag) << k->name << ": " << c.what;
+      const auto opened = g.open(nonce, sealed, hex_decode(c.aad));
+      ASSERT_TRUE(opened.has_value()) << k->name << ": " << c.what;
+      EXPECT_EQ(hex_encode(*opened), c.pt) << k->name << ": " << c.what;
+    }
+  }
 }
 
 TEST(GcmTest, TamperDetection) {
@@ -170,6 +245,117 @@ TEST(GcmTest, RandomNoncesDiffer) {
   const Bytes a = g.seal_random_nonce(to_bytes("x"));
   const Bytes b = g.seal_random_nonce(to_bytes("x"));
   EXPECT_NE(a, b);  // probabilistic encryption
+}
+
+// --- portable vs hardware kernels ------------------------------------------------
+
+class KernelDifferential : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    hw_ = detail::hardware_kernels();
+    if (hw_ == nullptr) GTEST_SKIP() << "no AES-NI/PCLMULQDQ on this CPU";
+  }
+  const detail::AesKernels& sw_ = detail::portable_kernels();
+  const detail::AesKernels* hw_ = nullptr;
+  DetRng rng_{20260815};
+
+  Bytes random_key() { return rng_.bytes(16 + 8 * rng_.uniform(3)); }
+  /// Lengths 0..4 KiB, weighted towards the block and 8-block boundaries.
+  std::size_t random_length() {
+    if (rng_.uniform(2) == 0) {
+      const std::size_t base = 16 * rng_.uniform(20);
+      return base + rng_.uniform(3) - (base > 0 ? 1 : 0);
+    }
+    return rng_.uniform(4097);
+  }
+};
+
+TEST_F(KernelDifferential, SubWordMatchesForEveryByte) {
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (unsigned pos = 0; pos < 4; ++pos) {
+      const std::uint32_t w = (b << (8 * pos)) | (0x5au << (8 * ((pos + 1) % 4)));
+      EXPECT_EQ(hw_->sub_word(w), sw_.sub_word(w)) << std::hex << w;
+    }
+  }
+}
+
+TEST_F(KernelDifferential, AesBlockMatches) {
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes key = random_key();
+    const Aes a(key, sw_);
+    const Aes b(key, *hw_);
+    Bytes x = rng_.bytes(16);
+    Bytes y = x;
+    a.encrypt_block(x.data());
+    b.encrypt_block(y.data());
+    ASSERT_EQ(x, y) << "key " << hex_encode(key);
+  }
+}
+
+TEST_F(KernelDifferential, CtrMatchesAcrossLengthsAndCounterCarries) {
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes key = random_key();
+    const Aes a(key, sw_);
+    const Aes b(key, *hw_);
+    std::array<std::uint8_t, 16> counter{};
+    const Bytes c = rng_.bytes(16);
+    std::copy(c.begin(), c.end(), counter.begin());
+    // Every fourth trial starts a few blocks below a 64- or 128-bit carry.
+    if (trial % 4 == 1) std::fill(counter.begin() + 8, counter.end() - 1, 0xff);
+    if (trial % 4 == 2) std::fill(counter.begin(), counter.end() - 1, 0xff);
+    const Bytes data = rng_.bytes(random_length());
+    ASSERT_EQ(aes_ctr(a, counter, data), aes_ctr(b, counter, data))
+        << "trial " << trial << " length " << data.size();
+  }
+}
+
+TEST_F(KernelDifferential, GhashMatches) {
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bytes h = rng_.bytes(16);
+    detail::GhashKey ksw;
+    detail::GhashKey khw;
+    sw_.ghash_init(h.data(), ksw);
+    hw_->ghash_init(h.data(), khw);
+    ASSERT_EQ(ksw.h, khw.h) << "powers of H, trial " << trial;
+
+    const std::size_t nblocks = random_length() / 16;
+    const Bytes blocks = rng_.bytes(16 * nblocks);
+    Bytes ysw = rng_.bytes(16);
+    Bytes yhw = ysw;
+    sw_.ghash_blocks(ksw, ysw.data(), blocks.data(), nblocks);
+    hw_->ghash_blocks(khw, yhw.data(), blocks.data(), nblocks);
+    ASSERT_EQ(ysw, yhw) << "trial " << trial << " blocks " << nblocks;
+  }
+}
+
+TEST_F(KernelDifferential, SealOpenMatchAndRejectTampering) {
+  for (int trial = 0; trial < 150; ++trial) {
+    const Bytes key = random_key();
+    const AesGcm a(key, sw_);
+    const AesGcm b(key, *hw_);
+    const Bytes nonce = rng_.bytes(AesGcm::kNonceSize);
+    const Bytes aad = rng_.bytes(rng_.uniform(4) == 0 ? 0 : rng_.uniform(80));
+    const Bytes pt = rng_.bytes(random_length());
+
+    const Bytes sealed = a.seal(nonce, pt, aad);
+    ASSERT_EQ(sealed, b.seal(nonce, pt, aad)) << "trial " << trial << " length " << pt.size();
+    for (const AesGcm* g : {&a, &b}) {
+      const auto opened = g->open(nonce, sealed, aad);
+      ASSERT_TRUE(opened.has_value());
+      EXPECT_EQ(*opened, pt);
+
+      Bytes flipped = sealed;
+      flipped[rng_.uniform(flipped.size())] ^=
+          static_cast<std::uint8_t>(1u << rng_.uniform(8));
+      EXPECT_FALSE(g->open(nonce, flipped, aad).has_value()) << "trial " << trial;
+      Bytes other_aad = aad;
+      other_aad.push_back(0);
+      EXPECT_FALSE(g->open(nonce, sealed, other_aad).has_value()) << "trial " << trial;
+      Bytes other_nonce = nonce;
+      other_nonce[rng_.uniform(other_nonce.size())] ^= 0x80;
+      EXPECT_FALSE(g->open(other_nonce, sealed, aad).has_value()) << "trial " << trial;
+    }
+  }
 }
 
 TEST(SivTest, DeterministicAndAuthenticated) {

@@ -553,6 +553,25 @@ TEST(DblintGuardedBy, InfersIntersectionAcrossWrites) {
   EXPECT_NE(md.find("(atomic)"), std::string::npos);
 }
 
+TEST(DblintGuardedBy, ClassTemplateParametersAreNotClasses) {
+  // `template <class Value>` once opened a class scope named Value, so the
+  // members of Box were recorded as Value::mutex_ / Value::value_.
+  const RepoIndex index = build_index({{"src/store/box.hpp",
+      "template <class Value, class Alloc = std::allocator<Value>>\n"
+      "class Box {\n"
+      " public:\n"
+      "  template <class Fn>\n"
+      "  void visit(Fn&& fn);\n"
+      " private:\n"
+      "  std::mutex mutex_;\n"
+      "  Value value_;\n"
+      "};\n"}});
+  ASSERT_EQ(index.files.size(), 1u);
+  std::vector<std::string> fields;
+  for (const FieldDecl& f : index.files[0].fields) fields.push_back(f.class_name + "::" + f.name);
+  EXPECT_EQ(fields, (std::vector<std::string>{"Box::mutex_", "Box::value_"}));
+}
+
 TEST(DblintGuardedBy, MarkdownIsDeterministic) {
   const std::vector<FileInput> files = {{"src/store/g.cpp",
       "class Gauge {\n"

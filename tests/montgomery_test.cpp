@@ -92,6 +92,75 @@ TEST(MontgomeryDifferential, RejectsBadModuli) {
   EXPECT_THROW(Montgomery(BigInt(0)), Error);
 }
 
+/// The reference the fold replaced: one generic mul_mod per factor.
+BigInt chained_product(const std::vector<BigInt>& factors, const BigInt& m) {
+  BigInt acc(1);
+  for (const auto& f : factors) acc = acc.mul_mod(f, m);
+  return acc.mod(m);
+}
+
+BigInt folded_product(const std::vector<BigInt>& factors, const Montgomery& ctx) {
+  Montgomery::Product product(ctx);
+  for (const auto& f : factors) product.multiply(f);
+  EXPECT_EQ(product.count(), factors.size());
+  return product.result();
+}
+
+TEST(MontgomeryProduct, EmptyAndSingleFactor) {
+  for (const std::size_t bits : {65UL, 128UL, 1024UL}) {
+    const BigInt m = random_odd(bits);
+    const Montgomery ctx(m);
+    EXPECT_EQ(folded_product({}, ctx), chained_product({}, m)) << bits;
+    EXPECT_EQ(folded_product({}, ctx), BigInt(1));
+    const BigInt a = BigInt::random_below(m);
+    EXPECT_EQ(folded_product({a}, ctx), chained_product({a}, m)) << bits;
+    EXPECT_EQ(folded_product({BigInt(0)}, ctx), BigInt(0)) << bits;
+  }
+}
+
+TEST(MontgomeryProduct, TwoThousandFactorsMatchChainedMulMod) {
+  // A Paillier column: 2000 ciphertexts mod n^2 for a 512-bit n.
+  const BigInt n = random_odd(512);
+  const BigInt n2 = n * n;
+  const Montgomery ctx(n2);
+  std::vector<BigInt> factors;
+  for (int i = 0; i < 2000; ++i) factors.push_back(BigInt::random_below(n2));
+  EXPECT_EQ(folded_product(factors, ctx), chained_product(factors, n2));
+  // Prefixes exercise every correction exponent on the way.
+  for (const std::size_t k : {2UL, 3UL, 15UL, 16UL, 17UL, 255UL}) {
+    const std::vector<BigInt> prefix(factors.begin(), factors.begin() + k);
+    EXPECT_EQ(folded_product(prefix, ctx), chained_product(prefix, n2)) << k;
+  }
+}
+
+TEST(MontgomeryProduct, FactorsAtOrAboveTheModulus) {
+  const BigInt n = random_odd(256);
+  const BigInt n2 = n * n;
+  const Montgomery ctx(n2);
+  const BigInt r = BigInt(1) << (64 * ctx.limb_count());
+  std::vector<BigInt> factors = {
+      n2,                                // exactly m
+      n2 + BigInt(1),                    // just above m, same limb count
+      r - BigInt(1),                     // the widest unreduced factor
+      r,                                 // one limb wider
+      BigInt::random_below(n2) + n2 * BigInt::random_bits(200),  // much wider
+  };
+  for (int i = 0; i < 20; ++i) {
+    factors.push_back(BigInt::random_below(r - n2) + n2);
+    factors.push_back(BigInt::random_below(n2));
+  }
+  EXPECT_EQ(folded_product(factors, ctx), chained_product(factors, n2));
+  for (const auto& f : factors) {
+    EXPECT_EQ(folded_product({f}, ctx), f.mod(n2));
+  }
+}
+
+TEST(MontgomeryProduct, RejectsNegativeFactors) {
+  const Montgomery ctx(random_odd(128));
+  Montgomery::Product product(ctx);
+  EXPECT_THROW(product.multiply(BigInt(-3)), Error);
+}
+
 // --- Paillier ------------------------------------------------------------------
 
 class PaillierSizeDifferential : public ::testing::TestWithParam<std::size_t> {};

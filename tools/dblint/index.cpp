@@ -704,6 +704,14 @@ std::vector<FieldDecl> collect_field_decls(const std::vector<Token>& tokens) {
   std::size_t i = 0;
   while (i < tokens.size()) {
     const Token& t = tokens[i];
+    // `template <class Name>` declares a parameter, not a class named Name.
+    if (t.text == "template" && i + 1 < tokens.size() && tokens[i + 1].text == "<") {
+      const std::size_t past = skip_template_args(tokens, i + 1);
+      if (past != std::string::npos) {
+        i = past;
+        continue;
+      }
+    }
     if (t.is_ident && (t.text == "class" || t.text == "struct") &&
         i + 1 < tokens.size() && tokens[i + 1].is_ident) {
       const std::string name = tokens[i + 1].text;
